@@ -275,7 +275,7 @@ def _lookup(table: dict, name: Optional[str], kind: str):
             f"unknown {kind} {name!r}; declared: {sorted(table)}") from None
 
 
-def _require_m_primary(problem: ProblemFile, ideal: IdealHandle, name: str):
+def _require_m_primary(ideal: IdealHandle, name: str):
     if not check_m_primary(ideal):
         raise _CommandError(
             f"ideal {name!r} is not m-primary: the quotient has infinite "
@@ -299,7 +299,7 @@ def _cmd_check(problem: ProblemFile, args) -> dict:
 def _cmd_series(problem: ProblemFile, args):
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
     module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(problem, ideal, args.ideal)
+    _require_m_primary(ideal, args.ideal)
     s = series(problem.ring, module, ideal, args.nmax,
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
@@ -313,7 +313,7 @@ def _cmd_series(problem: ProblemFile, args):
 def _cmd_fit(problem: ProblemFile, args) -> dict:
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
     module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(problem, ideal, args.ideal)
+    _require_m_primary(ideal, args.ideal)
     s = series(problem.ring, module, ideal, args.nmax,
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
@@ -357,7 +357,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
 def _cmd_verify(problem: ProblemFile, args) -> dict:
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
     module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(problem, ideal, args.ideal)
+    _require_m_primary(ideal, args.ideal)
     if args.closed_form is None:
         raise _CommandError("missing --closed-form argument")
     cf = problem.closed_forms.get(args.closed_form)
@@ -386,7 +386,7 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
 def _cmd_tor(problem: ProblemFile, args) -> dict:
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
     module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(problem, ideal, args.ideal)
+    _require_m_primary(ideal, args.ideal)
     if module.kind != "coker":
         raise _CommandError("tor expects a coker module presentation")
     entries = []
@@ -472,8 +472,10 @@ def _make_budget(args) -> Budget:
 
 def run_command(argv: List[str]) -> tuple:
     """Execute a CLI invocation; returns (report dict, exit code)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _run(_build_parser().parse_args(argv), argv)
+
+
+def _run(args, argv: List[str]) -> tuple:
     started = time.monotonic()
     report = {
         "command": list(argv),
@@ -535,15 +537,11 @@ def run_command(argv: List[str]) -> tuple:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    report, exit_code = run_command(argv)
+    args = _build_parser().parse_args(argv)
+    report, exit_code = _run(args, argv)
     text = json.dumps(report, indent=2, sort_keys=True)
-    json_path = None
-    if "--json" in argv:
-        idx = argv.index("--json")
-        if idx + 1 < len(argv):
-            json_path = argv[idx + 1]
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)

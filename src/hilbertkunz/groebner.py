@@ -208,7 +208,7 @@ class _Engine:
     """Shared machinery for Buchberger runs and normal-form reduction."""
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 budget: Budget, track: bool = False, nreps: int = 0,
+                 budget: Budget, track: bool = False,
                  queue_pairs: bool = True):
         self.ring = ring
         self.rank = rank
@@ -251,9 +251,8 @@ class _Engine:
                 return k
         return -1
 
-    def reduce(self, work: dict, rep: Optional[dict] = None,
-               tail: bool = True) -> dict:
-        """Divide work by the basis; full remainder, or head-only if not tail.
+    def reduce(self, work: dict, rep: Optional[dict] = None) -> dict:
+        """Divide work by the basis; returns the full remainder.
 
         When rep is given it is mutated so that the representation
         invariant (value = rep . generators) holds throughout.
@@ -277,10 +276,6 @@ class _Engine:
             k = find(t)
             if k < 0:
                 out[t] = c
-                if not tail:
-                    out.update(work)
-                    work.clear()
-                    break
                 continue
             u = t - self.lts[k]           # pure monomial shift
             lt = self.lts[k]
@@ -339,8 +334,6 @@ class _Engine:
         bucket.setdefault(pos, []).append(idx)
         if self.queue_pairs:
             self._update_pairs(idx, pos)
-        else:
-            self.active_by_pos.setdefault(pos, []).append(idx)
         return idx
 
     def _update_pairs(self, t: int, pos: int):
@@ -409,21 +402,27 @@ class _Engine:
         survivors.append(t)
         self.active_by_pos[pos] = survivors
 
-    def spair(self, i: int, j: int, lcm: Optional[int] = None) -> dict:
-        """u_i g_i - u_j g_j scaled to cancel the (monic) leads."""
+    def spair(self, i: int, j: int, lcm: Optional[int] = None,
+              reps: bool = False) -> dict:
+        """u_i g_i - u_j g_j scaled to cancel the (monic) leads.
+
+        With reps set, the same shifted difference of the tracked
+        representations of g_i and g_j instead.
+        """
         if lcm is None:
             lcm = self.ring.mono_lcm(self.ltmonos[i], self.ltmonos[j])
+        rows = self.reps if reps else self.basis
         p = self.p
         guards = self.guards
         ui = lcm - self.ltmonos[i]
         uj = lcm - self.ltmonos[j]
         vec: dict = {}
-        for t, c in self.basis[i].items():
+        for t, c in rows[i].items():
             tt = t + ui
             if tt & guards:
                 _raise_overflow()
             vec[tt] = c
-        for t, c in self.basis[j].items():
+        for t, c in rows[j].items():
             tt = t + uj
             if tt & guards:
                 _raise_overflow()
@@ -434,33 +433,9 @@ class _Engine:
                 vec.pop(tt, None)
         return vec
 
-    def spair_rep(self, i: int, j: int, lcm: Optional[int] = None) -> dict:
-        if lcm is None:
-            lcm = self.ring.mono_lcm(self.ltmonos[i], self.ltmonos[j])
-        p = self.p
-        guards = self.guards
-        ui = lcm - self.ltmonos[i]
-        uj = lcm - self.ltmonos[j]
-        rep: dict = {}
-        for t, c in self.reps[i].items():
-            tt = t + ui
-            if tt & guards:
-                _raise_overflow()
-            rep[tt] = c
-        for t, c in self.reps[j].items():
-            tt = t + uj
-            if tt & guards:
-                _raise_overflow()
-            nc = (rep.get(tt, 0) - c) % p
-            if nc:
-                rep[tt] = nc
-            else:
-                rep.pop(tt, None)
-        return rep
-
     # -- the main loop ----------------------------------------------------------
 
-    def run(self, tail_reduce: bool = True):
+    def run(self):
         while self.pairs:
             _, i, j, pos, lcm = heapq.heappop(self.pairs)
             if self.pending.pop((i, j), None) is None:
@@ -471,8 +446,8 @@ class _Engine:
                                           self.budget.max_pairs,
                                           self.pairs_popped)
             svec = self.spair(i, j, lcm)
-            rep = self.spair_rep(i, j, lcm) if self.track else None
-            r = self.reduce(svec, rep=rep, tail=tail_reduce)
+            rep = self.spair(i, j, lcm, reps=True) if self.track else None
+            r = self.reduce(svec, rep=rep)
             if r:
                 self.add(r, rep)
 
@@ -532,8 +507,7 @@ def _normalize_gens(gens, ring: Optional[PolyRing], rank: Optional[int]):
 
 def buchberger(gens: Iterable, order: Optional[MonomialOrder] = None, *,
                ring: Optional[PolyRing] = None, rank: Optional[int] = None,
-               budget: Optional[Budget] = None,
-               tail_reduce: bool = True) -> GroebnerBasis:
+               budget: Optional[Budget] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by gens.
 
     gens may be Polynomials (ideal case) or FreeModuleElements of a common
@@ -548,7 +522,7 @@ def buchberger(gens: Iterable, order: Optional[MonomialOrder] = None, *,
     for v in vecs:
         if v._d:
             eng.add(dict(v._d))
-    eng.run(tail_reduce=tail_reduce)
+    eng.run()
     return eng.finalize()
 
 
@@ -686,7 +660,7 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
             raise RingMismatchError("generators must share ring and rank")
     bits = ring.mono_bits
     raw: List[dict] = []
-    eng = _Engine(ring, rank, ring.order, budget, track=True, nreps=m)
+    eng = _Engine(ring, rank, ring.order, budget, track=True)
     for i, v in enumerate(vecs):
         if v._d:
             eng.add(dict(v._d), {i << bits: 1})
@@ -697,7 +671,7 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
         for i in range(j):
             if eng.ltpos[i] != eng.ltpos[j]:
                 continue
-            srep = eng.spair_rep(i, j)
+            srep = eng.spair(i, j, reps=True)
             rem = eng.reduce(eng.spair(i, j), rep=srep)
             if rem:              # pragma: no cover - contradicts GB property
                 raise AssertionError("S-pair failed to reduce to zero")

@@ -2,9 +2,12 @@
 
 The central quantity is the length of M/JM for J the ideal generated by
 q-th powers of a fixed ideal's generators, q = p^n.  All lengths are
-computed as colengths in the ambient polynomial ring: quotient-ring
-modules adjoin the defining generators (times each free basis vector) to
-their relation sets, so one Groebner engine serves everything.
+computed as colengths in the ambient polynomial ring.  Every module is
+presented as a cokernel of R^s (a module given by generators goes
+through their syzygies first), and its length modulo I^[q] is the
+colength in P^s of the relation columns plus the defining generators and
+the bracket power times each free basis vector, so one Groebner engine
+serves everything.
 
 Lengths over the local ring at the origin agree with these affine
 colengths whenever the inputs are homogeneous (the graded case); for
@@ -200,31 +203,39 @@ def check_m_primary(ideal: IdealHandle,
 
 
 class ModulePresentation:
-    """A finitely generated R-module in one of three shapes.
+    """A finitely generated R-module, presented as a cokernel.
 
-    cyclic(J): the quotient R/J.
-    coker(s, columns): the cokernel of a matrix R^m -> R^s whose columns
-        are the given relation vectors.
-    ideal_as_module(J): the ideal generated by J viewed as a module, to be
-        presented through the syzygies of its generators.
+    Every module is coker(s, columns): R^s modulo the submodule spanned by
+    the relation columns.  cyclic(J) is R/J, the case s = 1 with the
+    columns J.  The one exception is a module given as the image of
+    generators g_1..g_m of a submodule of R^t, such as ideal_as_module(J),
+    the image of J in R^1.  It is F/K for F = R^m free on the generators
+    and K their syzygies over R, so it is presented as coker(m, K).  K
+    needs a Groebner run, so it is computed on first use and cached on the
+    ring, never at construction.
+
+    kind labels the declared shape: "cyclic", "coker", "idealmod", or
+    "image" for the column module that tor1_length builds.
     """
 
     def __init__(self, kind: str, *, gens=(), columns=(), ambient_rank=1,
-                 asserted_rank: Optional[int] = None):
-        if kind not in ("cyclic", "coker", "idealmod"):
+                 asserted_rank: Optional[int] = None, image=None):
+        if kind not in ("cyclic", "coker", "idealmod", "image"):
             raise ValueError(f"unknown module kind {kind!r}")
         self.kind = kind
         self.gens = tuple(gens)
         self.columns = tuple(columns)
         self.ambient_rank = ambient_rank
         self.asserted_rank = asserted_rank
+        # generators of the submodule this module is the image of, if any
+        self.image = None if image is None else tuple(image)
 
     @classmethod
     def cyclic(cls, ring: RingPresentation, gens=(),
                asserted_rank: Optional[int] = None) -> "ModulePresentation":
         gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(gens, "a module relation")
-        return cls("cyclic", gens=gens, ambient_rank=1,
+        return cls("cyclic", gens=gens, columns=_as_columns(ring, gens),
                    asserted_rank=asserted_rank)
 
     @classmethod
@@ -252,20 +263,31 @@ class ModulePresentation:
         gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(gens, "an ideal generator")
         return cls("idealmod", gens=gens, ambient_rank=max(len(gens), 1),
-                   asserted_rank=asserted_rank)
+                   asserted_rank=asserted_rank,
+                   image=_as_columns(ring, gens))
 
     def key(self) -> tuple:
         return (self.kind, self.ambient_rank,
                 tuple(g.key() for g in self.gens),
-                tuple(c.key() for c in self.columns))
+                tuple(c.key() for c in self.columns),
+                tuple(c.key() for c in self.image or ()))
 
     def __repr__(self):
-        if self.kind == "cyclic":
-            return f"ModulePresentation(cyclic, {[str(g) for g in self.gens]})"
-        if self.kind == "idealmod":
-            return f"ModulePresentation(idealmod, {[str(g) for g in self.gens]})"
+        if self.kind in ("cyclic", "idealmod"):
+            return (f"ModulePresentation({self.kind}, "
+                    f"{[str(g) for g in self.gens]})")
+        if self.kind == "image":
+            return (f"ModulePresentation(image, {len(self.image)} "
+                    "generators)")
         return (f"ModulePresentation(coker, rank {self.ambient_rank}, "
                 f"{len(self.columns)} relations)")
+
+
+def _as_columns(ring: RingPresentation,
+                polys: Sequence[Polynomial]) -> Tuple[FreeModuleElement, ...]:
+    """Polynomials as vectors of R^1."""
+    return tuple(FreeModuleElement.basis_vector(ring.ring, 1, 0, f)
+                 for f in polys)
 
 
 @dataclass(frozen=True)
@@ -292,14 +314,30 @@ def _require_finite(value, what: str) -> int:
     return value
 
 
+def _colength_mod_bracket(ring: RingPresentation, s: int, columns,
+                          ideal: IdealHandle, n: int,
+                          budget: Optional[Budget]) -> int:
+    """Length of coker(s, columns) / I^[q], a colength in P^s.
+
+    The relation columns come first, then Q and the bracket power I^[q]
+    times each basis vector of R^s.
+    """
+    if s == 0:
+        return 0
+    bracket = bracket_power(ideal, n)
+    gens = list(columns)
+    gens += _basis_multiples(ring, ring.quotient, s)
+    gens += _basis_multiples(ring, bracket.gens, s)
+    value = ring._colength_of_module(gens, s, budget)
+    return _require_finite(value, "the module")
+
+
 def en_cyclic(ring: RingPresentation, relations: Sequence, ideal: IdealHandle,
               n: int, *, budget: Optional[Budget] = None) -> int:
     """e_n(R/J, I) = colength of Q + J + (generators of I)^[q] in P."""
     relations = _coerce_polys(ring.ring, relations)
-    bracket = bracket_power(ideal, n)
-    gens = list(ring.quotient) + list(relations) + list(bracket.gens)
-    value = ring._colength_of_ideal(gens, budget)
-    return _require_finite(value, "the cyclic quotient")
+    return _colength_mod_bracket(ring, 1, _as_columns(ring, relations),
+                                 ideal, n, budget)
 
 
 def _basis_multiples(ring: RingPresentation, polys: Sequence[Polynomial],
@@ -312,91 +350,77 @@ def _basis_multiples(ring: RingPresentation, polys: Sequence[Polynomial],
     return out
 
 
-def _projected_syzygies(ring: RingPresentation, gens: Sequence[Polynomial],
-                        ambient_rank: int,
-                        columns: Optional[Sequence[FreeModuleElement]] = None,
+def _projected_syzygies(ring: RingPresentation,
+                        columns: Sequence[FreeModuleElement],
                         budget: Optional[Budget] = None) -> list:
-    """Syzygies over R of the given generators of a submodule of R^rank.
+    """Syzygies over R of the given generators of a submodule of R^s.
 
     Computed in P by augmenting with the quotient generators times each
     ambient basis vector and projecting the syzygy coordinates back onto
     the original generators.  Cached per generator set.
     """
-    if columns is None:
-        columns = [FreeModuleElement.basis_vector(ring.ring, ambient_rank, 0, f)
-                   for f in gens]
     m = len(columns)
-    key = ("syz", ambient_rank, tuple(c.key() for c in columns))
+    s = columns[0].rank
+    key = ("syz", s, tuple(c.key() for c in columns))
     hit = ring._cache.get(key)
     if hit is not None:
         return hit
-    aug = list(columns) + _basis_multiples(ring, ring.quotient, ambient_rank)
+    aug = list(columns) + _basis_multiples(ring, ring.quotient, s)
     syz = syzygies(aug, ring=ring.ring, budget=budget or ring.budget)
     bits = ring.ring.mono_bits
     projected = []
-    for s in syz:
-        d = {t: c for t, c in s._d.items() if (t >> bits) < m}
+    for v in syz:
+        d = {t: c for t, c in v._d.items() if (t >> bits) < m}
         if d:
-            projected.append(FreeModuleElement(ring.ring, max(m, 1), d))
+            projected.append(FreeModuleElement(ring.ring, m, d))
     ring._cache[key] = projected
     return projected
+
+
+def _cokernel(ring: RingPresentation, module: ModulePresentation,
+              budget: Optional[Budget]) -> tuple:
+    """(s, relation columns) presenting the module as a cokernel of R^s.
+
+    An image of m generators becomes coker(m, their projected syzygies).
+    """
+    if module.image is None:
+        return module.ambient_rank, module.columns
+    if not module.image:
+        return 0, ()
+    return (len(module.image),
+            _projected_syzygies(ring, module.image, budget=budget))
 
 
 def en_module(ring: RingPresentation, module: ModulePresentation,
               ideal: IdealHandle, n: int, *,
               budget: Optional[Budget] = None) -> int:
     """e_n(M, I) = length of M / I^[q] M for the presented module."""
-    if module.kind == "cyclic":
-        return en_cyclic(ring, module.gens, ideal, n, budget=budget)
-    bracket = bracket_power(ideal, n)
-    if module.kind == "coker":
-        s = module.ambient_rank
-        if s == 0:
-            return 0
-        gens = list(module.columns)
-        gens += _basis_multiples(ring, ring.quotient, s)
-        gens += _basis_multiples(ring, bracket.gens, s)
-        value = ring._colength_of_module(gens, s, budget)
-        return _require_finite(value, "the cokernel")
-    # ideal-as-module: J / I^[q] J presented through the syzygies of its
-    # generators: F/(ker sigma + I^[q] F) for F free on the generators
-    m = len(module.gens)
-    if m == 0:
-        return 0
-    syz = _projected_syzygies(ring, module.gens, 1, budget=budget)
-    gens = list(syz)
-    gens += _basis_multiples(ring, ring.quotient, m)
-    gens += _basis_multiples(ring, bracket.gens, m)
-    value = ring._colength_of_module(gens, m, budget)
-    return _require_finite(value, "the ideal viewed as a module")
+    s, columns = _cokernel(ring, module, budget)
+    return _colength_mod_bracket(ring, s, columns, ideal, n, budget)
 
 
 def module_rank(ring: RingPresentation, module: ModulePresentation, *,
                 budget: Optional[Budget] = None) -> int:
     """Generic fraction-field rank of the presented module over R.
 
-    Exact but exponential in matrix size (minor enumeration); pass
-    asserted_rank on the presentation to bypass it.  Requires Q prime,
-    which is asserted by the caller, not verified.
+    An image has the rank of its generator matrix; coker(s, columns) has
+    s minus the rank of its relation matrix.  Images are not sent through
+    their syzygies here: the syzygy matrix is far wider, and the minor
+    enumeration is exponential in the matrix size.  Pass asserted_rank on
+    the presentation to bypass it.  Requires Q prime, which is asserted
+    by the caller, not verified.
     """
     if module.asserted_rank is not None:
         return module.asserted_rank
+    is_image = module.image is not None
+    columns = module.image if is_image else module.columns
+    if not columns:
+        return 0 if is_image else module.ambient_rank
     qgb = ring.defining_gb if ring.quotient else None
-    if module.kind == "cyclic":
-        return 1 if all(ring.is_zero_in_quotient(g) or g.is_zero()
-                        for g in module.gens) else 0
-    if module.kind == "idealmod":
-        live = [g for g in module.gens if not g.is_zero()]
-        if not live:
-            return 0
-        return matrix_rank_over_domain([live], qgb,
-                                       budget=budget or ring.budget)
-    s = module.ambient_rank
-    if not module.columns:
-        return s
-    matrix = [[col.component(i) for col in module.columns] for i in range(s)]
-    return s - matrix_rank_over_domain(matrix, qgb,
-                                       budget=budget or ring.budget)
+    s = columns[0].rank
+    matrix = [[col.component(i) for col in columns] for i in range(s)]
+    rank = matrix_rank_over_domain(matrix, qgb, budget=budget or ring.budget)
+    return rank if is_image else s - rank
 
 
 def delta_n(ring: RingPresentation, module: ModulePresentation,
@@ -426,22 +450,12 @@ def tor1_length(ring: RingPresentation, module: ModulePresentation,
     """
     if module.kind != "coker":
         raise ValueError("tor1_length expects a cokernel presentation")
-    s = module.ambient_rank
-    cols = module.columns
-    m = len(cols)
-    if m == 0:
-        e_n_N = 0
-    else:
-        syz = _projected_syzygies(ring, (), s, columns=cols, budget=budget)
-        bracket = bracket_power(ideal, n)
-        gens = list(syz)
-        gens += _basis_multiples(ring, ring.quotient, m)
-        gens += _basis_multiples(ring, bracket.gens, m)
-        e_n_N = _require_finite(ring._colength_of_module(gens, m, budget),
-                                "the column module")
+    column_module = ModulePresentation("image", image=module.columns,
+                                       ambient_rank=len(module.columns))
+    e_n_N = en_module(ring, column_module, ideal, n, budget=budget)
     e_n_T = en_module(ring, module, ideal, n, budget=budget)
     e_n_R = en_cyclic(ring, (), ideal, n, budget=budget)
-    value = e_n_N + e_n_T - s * e_n_R
+    value = e_n_N + e_n_T - module.ambient_rank * e_n_R
     if value < 0:        # pragma: no cover - violates the exact identity
         raise AssertionError("negative Tor length; presentation inconsistent")
     return value
@@ -477,24 +491,7 @@ def module_dimension(ring: RingPresentation, module: ModulePresentation, *,
     The zero module is reported as dimension 0 with the flag set rather
     than a signed sentinel.
     """
-    budget = budget or ring.budget
-    R = ring.ring
-    if module.kind == "cyclic":
-        cols = [FreeModuleElement.basis_vector(R, 1, 0, g)
-                for g in module.gens if g]
-        dim, zero = cokernel_dimension(cols, 1, ring.quotient, R,
-                                       budget=budget)
-        return ModuleDimension(dim, zero)
-    if module.kind == "coker":
-        dim, zero = cokernel_dimension(list(module.columns),
-                                       module.ambient_rank, ring.quotient, R,
-                                       budget=budget)
-        return ModuleDimension(dim, zero)
-    live = [g for g in module.gens if not g.is_zero()]
-    if not live:
-        return ModuleDimension(0, True)
-    m = len(module.gens)
-    syz = _projected_syzygies(ring, module.gens, 1, budget=budget)
-    dim, zero = cokernel_dimension(list(syz), m, ring.quotient, R,
-                                   budget=budget)
+    s, columns = _cokernel(ring, module, budget)
+    dim, zero = cokernel_dimension(list(columns), s, ring.quotient, ring.ring,
+                                   budget=budget or ring.budget)
     return ModuleDimension(dim, zero)

@@ -324,6 +324,20 @@ def test_json_output_file(tmp_path):
     assert data["results"]["m_primary"] is True
 
 
+@pytest.mark.parametrize("equals", [True, False])
+def test_json_output_file_other_spellings(tmp_path, capsys, equals):
+    # argparse accepts --json=PATH and the abbreviation --js PATH too
+    path = write(tmp_path, REGULAR)
+    out = tmp_path / "report.json"
+    from hilbertkunz.cli import main
+    flag = ["--json=" + str(out)] if equals else ["--js", str(out)]
+    code = main(["check", path, "--ideal", "I"] + flag)
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["results"]["m_primary"] is True
+    assert capsys.readouterr().out == ""
+
+
 def test_big_integers_rendered_as_strings(tmp_path):
     path = write(tmp_path, REGULAR)
     report, _ = run_command(

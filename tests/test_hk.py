@@ -13,6 +13,7 @@ from hilbertkunz import (Budget, FreeModuleElement, IdealHandle,
                          module_rank, series, tor1_length)
 
 from oracles import box_staircase_count, module_dense_colength
+from hilbertkunz import syzygies
 
 
 def regular_ring(p, d):
@@ -147,6 +148,47 @@ def test_coker_without_relations_equals_cyclic():
         assert en_module(ring, M, I, n) == en_cyclic(ring, (), I, n)
 
 
+def test_cyclic_equals_rank_one_coker():
+    # cyclic(J) is coker(1, J): every invariant agrees on the two shapes
+    for ring, J in ((quartic_ring(), ["x1^2", "x2"]),
+                    (quartic_ring(), ["x1^4 + x2^4 + x3^4 + x4^4"]),
+                    (regular_ring(3, 2), ["x1^2", "x1*x2"])):
+        I = maximal_ideal(ring)
+        cyc = ModulePresentation.cyclic(ring, J)
+        cok = ModulePresentation.coker(ring, 1, [[j] for j in J])
+        for n in range(2):
+            assert en_module(ring, cyc, I, n) == en_module(ring, cok, I, n)
+        assert module_rank(ring, cyc) == module_rank(ring, cok)
+        assert module_dimension(ring, cyc) == module_dimension(ring, cok)
+
+
+def _syzygy_columns(ring, gens):
+    """Syzygies over R = P/Q of gens, cut from the syzygies over P of
+    gens followed by the generators of Q."""
+    polys = [ring.parse(g) for g in gens]
+    m = len(polys)
+    cols = []
+    for v in syzygies(polys + list(ring.quotient), ring=ring.ring):
+        comps = v.components()[:m]
+        if any(not c.is_zero() for c in comps):
+            cols.append(FreeModuleElement.from_components(ring.ring, comps))
+    return cols
+
+
+def test_ideal_as_module_equals_syzygy_coker():
+    # an ideal with m generators is coker(m, syzygies of the generators)
+    for ring, J in ((quartic_ring(), ["x1", "x2"]),
+                    (regular_ring(2, 2), ["x1^2", "x1*x2", "x2^2"]),
+                    (determinantal_ring(), ["x1", "x4"])):
+        I = maximal_ideal(ring)
+        ideal = ModulePresentation.ideal_as_module(ring, J)
+        cok = ModulePresentation.coker(ring, len(J),
+                                       _syzygy_columns(ring, J))
+        for n in range(2):
+            assert en_module(ring, ideal, I, n) == en_module(ring, cok, I, n)
+        assert module_dimension(ring, ideal) == module_dimension(ring, cok)
+
+
 def test_direct_sum_additivity():
     ring = quartic_ring()
     I = maximal_ideal(ring)
@@ -258,6 +300,14 @@ def test_module_ranks():
     assert module_rank(ring, asserted) == 2
 
 
+def test_ideal_rank_uses_the_generator_row():
+    # the 1 x 6 generator row needs at most six 1 x 1 minors; presenting
+    # the ideal through its 22 syzygy columns would exceed this budget
+    ring = determinantal_ring()
+    J = ModulePresentation.ideal_as_module(ring, list(ring.vars))
+    assert module_rank(ring, J, budget=Budget(max_minors=6)) == 1
+
+
 # -- delta_n ------------------------------------------------------------------------
 
 def test_delta_of_ring_vanishes():
@@ -314,6 +364,18 @@ def test_tor_hyperplane_exact():
     T = ModulePresentation.coker(ring, 1, [["x1"]])
     for n in range(5):
         assert tor1_length(ring, T, I, n) == 2 ** n
+
+
+def test_tor_direct_sum_additivity():
+    # Tor_1 is additive over direct sums: R/(x1) + R/(x2) against its parts
+    ring = regular_ring(3, 2)
+    I = maximal_ideal(ring)
+    A = ModulePresentation.coker(ring, 1, [["x1"]])
+    B = ModulePresentation.coker(ring, 1, [["x2"]])
+    AB = ModulePresentation.coker(ring, 2, [["x1", "0"], ["0", "x2"]])
+    for n in range(4):
+        parts = tor1_length(ring, A, I, n) + tor1_length(ring, B, I, n)
+        assert tor1_length(ring, AB, I, n) == parts == 2 * 3 ** n
 
 
 def test_tor_requires_coker():

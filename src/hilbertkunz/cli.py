@@ -12,8 +12,8 @@ The input format is line oriented with '#' comments:
 
 Reports are single JSON objects with big integers rendered as decimal
 strings.  Identical input and version produce identical payloads except
-for diagnostics.timing_ms.  Exit codes: 0 success, 1 input or validation
-error, 2 computation budget exceeded.
+for diagnostics.timing_ms.  Exit codes: 0 success, 1 input, validation
+or usage error, 2 computation budget exceeded.
 """
 
 from __future__ import annotations
@@ -259,10 +259,17 @@ def _fit_payload(fit) -> dict:
 
 
 class _CommandError(Exception):
-    def __init__(self, message: str, exit_code: int = 1, payload=None):
+    def __init__(self, message: str, exit_code: int = 1, payload=None,
+                 kind: str = "command"):
         super().__init__(message)
         self.exit_code = exit_code
         self.payload = payload
+        self.kind = kind
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):    # argparse exits 2, the budget code
+        raise _CommandError(message, kind="usage")
 
 
 def _lookup(table: dict, name: Optional[str], kind: str):
@@ -438,7 +445,7 @@ _DEEP_PAIRS = 5_000_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbertkunz",
         description="Hilbert-Kunz series, fits and checks over F_p")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -472,10 +479,11 @@ def _make_budget(args) -> Budget:
 
 def run_command(argv: List[str]) -> tuple:
     """Execute a CLI invocation; returns (report dict, exit code)."""
-    return _run(_build_parser().parse_args(argv), argv)
+    report, exit_code, _ = _run(list(argv))
+    return report, exit_code
 
 
-def _run(args, argv: List[str]) -> tuple:
+def _run(argv: List[str]) -> tuple:
     started = time.monotonic()
     report = {
         "command": list(argv),
@@ -485,7 +493,10 @@ def _run(args, argv: List[str]) -> tuple:
         "diagnostics": {"warnings": [], "budget": {}},
     }
     exit_code = 0
+    json_path = None
     try:
+        args = _build_parser().parse_args(argv)
+        json_path = args.json
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -513,7 +524,7 @@ def _run(args, argv: List[str]) -> tuple:
                            "line": exc.line, "col": exc.col}
         exit_code = 1
     except _CommandError as exc:
-        report["error"] = {"kind": "command", "message": str(exc)}
+        report["error"] = {"kind": exc.kind, "message": str(exc)}
         if exc.payload is not None:
             report["results"] = exc.payload
         exit_code = exc.exit_code
@@ -532,16 +543,15 @@ def _run(args, argv: List[str]) -> tuple:
         exit_code = 1
     report["diagnostics"]["timing_ms"] = int(
         (time.monotonic() - started) * 1000)
-    return report, exit_code
+    return report, exit_code, json_path
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)
-    report, exit_code = _run(args, argv)
+    report, exit_code, json_path = _run(argv)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -73,8 +73,46 @@ def _raise_overflow():
         "exponent exceeded the supported bound during reduction")
 
 
+def _minimal(monos: Iterable[int], guards: int) -> tuple:
+    """Drop multiples from ascending packed monomials (divisors sort first)."""
+    out: list = []
+    for m in monos:
+        mg = m | guards
+        for h in out:
+            if (mg - h) & guards == guards:
+                break
+        else:
+            out.append(m)
+    return tuple(out)
+
+
+def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
+    """Standard monomials of a minimal Artinian packed staircase.
+
+    Slabs between consecutive exponents of the last variable (the lowest
+    field; gens[0] <= 0xFFFF is its pure power) times their slice counts.
+    Memo keys need no level: a k-variable staircase holds a pure power
+    >= 2**(16 * (k - 1)), and every value at fewer variables is below it.
+    """
+    if guards == 0x8000:
+        return gens[0]
+    hit = memo.get(gens)
+    if hit is not None:
+        return hit
+    bound = gens[0]
+    cuts = sorted({g & 0xFFFF for g in gens if g & 0xFFFF < bound} | {0})
+    cuts.append(bound)
+    lower = guards >> 16
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        sub = _minimal([g >> 16 for g in gens if g & 0xFFFF <= lo], lower)
+        total += (hi - lo) * _count_standard(sub, lower, memo)
+    memo[gens] = total
+    return total
+
+
 class Staircase:
-    """Leading-term submodule of a basis, queryable by divisibility."""
+    """Leading-term submodule of a basis: minimal packed leads per position."""
 
     __slots__ = ("ring", "rank", "_by_pos")
 
@@ -86,39 +124,47 @@ class Staircase:
         by_pos: dict = {}
         for t in lead_terms:
             by_pos.setdefault(t >> bits, []).append(t & mask)
-        for monos in by_pos.values():
-            monos.sort()
-        self._by_pos = by_pos
+        self._by_pos = {pos: _minimal(sorted(monos), ring.guards)
+                        for pos, monos in by_pos.items()}
 
     def covers(self, pos: int, exponents: Sequence[int]) -> bool:
         """Whether (pos, monomial) lies in the leading-term submodule."""
-        return self._covers_packed(pos, self.ring.pack(exponents))
-
-    def _covers_packed(self, pos: int, m: int) -> bool:
-        monos = self._by_pos.get(pos)
-        if not monos:
-            return False
         g = self.ring.guards
-        mg = m | g
-        for lt in monos:
+        mg = self.ring.pack(exponents) | g
+        for lt in self._by_pos.get(pos, ()):
             if (mg - lt) & g == g:
                 return True
         return False
 
     def minimal_generators(self) -> list:
-        """(position, exponent tuple) for each cached leading term."""
+        """(position, exponent tuple) for each minimal leading term."""
         out = []
         for pos in sorted(self._by_pos):
             for m in self._by_pos[pos]:
                 out.append((pos, self.ring.unpack(m)))
         return out
 
+    def colength(self):
+        """Count of (position, monomial) pairs outside, or INFINITE."""
+        fields = range(0, self.ring.mono_bits, 16)
+        memo: dict = {}
+        total = 0
+        for pos in range(self.rank):
+            gens = self._by_pos.get(pos, ())
+            if gens and gens[0] == 0:
+                continue                  # the unit: nothing lies outside
+            if not all(any(g >> sh <= 0xFFFF and not g & ((1 << sh) - 1)
+                           for g in gens) for sh in fields):
+                return INFINITE           # some variable has no pure power
+            total += _count_standard(gens, self.ring.guards, memo)
+        return total
+
 
 class GroebnerBasis:
     """Autoreduced (reduced) Groebner basis with cached leading terms."""
 
     __slots__ = ("ring", "rank", "order", "elements", "_lts", "_staircase",
-                 "_colength", "_reducer_cache")
+                 "_reducer_cache")
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
                  elements: Sequence[FreeModuleElement],
@@ -129,7 +175,6 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self._lts = tuple(lead_terms)
         self._staircase: Optional[Staircase] = None
-        self._colength = None
         self._reducer_cache = None
 
     def __len__(self):
@@ -170,11 +215,6 @@ class GroebnerBasis:
     def contains_one(self) -> bool:
         """For ideal bases: whether 1 lies in the ideal."""
         return any(t & self.ring.mono_mask == 0 for t in self._lts)
-
-    def colength(self):
-        if self._colength is None:
-            self._colength = colength(self)
-        return self._colength
 
     def verify(self) -> bool:
         """Post-hoc check: autoreduction plus all S-pairs reduce to zero."""
@@ -224,7 +264,6 @@ class _Engine:
         self.basis: List[dict] = []
         self.lts: List[int] = []          # packed lead terms (pos | mono)
         self.ltmonos: List[int] = []
-        self.ltpos: List[int] = []
         self.single: List[bool] = []      # single-term element
         self.one_pos: List[bool] = []     # supported on a single position
         self.mono_by_pos: dict = {}       # pos -> [idx of single-term elements]
@@ -324,7 +363,6 @@ class _Engine:
         self.basis.append(vec)
         self.lts.append(lt)
         self.ltmonos.append(lt & self.mask)
-        self.ltpos.append(pos)
         self.single.append(len(vec) == 1)
         positions = {t >> self.bits for t in vec}
         self.one_pos.append(len(positions) == 1)
@@ -540,47 +578,10 @@ def normal_form(f, gb: GroebnerBasis):
 # -- colength: counting standard monomials -------------------------------------
 
 
-def _minimalize(gens: Sequence[tuple]) -> tuple:
-    gens = sorted(set(gens))
-    out: list = []
-    for g in gens:
-        if not any(all(h[i] <= g[i] for i in range(len(g))) for h in out):
-            out.append(g)
-    return tuple(out)
-
-
-def _staircase_count(gens: tuple, nvars: int, memo: dict) -> int:
-    """Standard monomial count for a minimal Artinian staircase."""
-    if any(all(e == 0 for e in g) for g in gens):
-        return 0
-    if nvars == 0:
-        return 1
-    hit = memo.get(gens)
-    if hit is not None:
-        return hit
-    last = nvars - 1
-    bound = min(g[last] for g in gens
-                if all(g[i] == 0 for i in range(last)))
-    cuts = sorted({g[last] for g in gens if g[last] < bound} | {0})
-    total = 0
-    for idx, lo in enumerate(cuts):
-        hi = cuts[idx + 1] if idx + 1 < len(cuts) else bound
-        sub = _minimalize(tuple(g[:last] for g in gens if g[last] <= lo))
-        total += (hi - lo) * _staircase_count(sub, last, memo)
-    memo[gens] = total
-    return total
-
-
 def monomial_ideal_colength(generators: Iterable[Sequence[int]], nvars: int):
     """Colength of a monomial ideal given by exponent tuples, or INFINITE."""
-    gens = _minimalize(tuple(tuple(g) for g in generators))
-    if any(all(e == 0 for e in g) for g in gens):
-        return 0
-    for i in range(nvars):
-        if not any(g[i] > 0 and all(e == 0 for j, e in enumerate(g) if j != i)
-                   for g in gens):
-            return INFINITE
-    return _staircase_count(gens, nvars, {})
+    ring = PolyRing(2, [f"x{i}" for i in range(nvars)])
+    return Staircase(ring, 1, [ring.pack(g) for g in generators]).colength()
 
 
 def colength(gb: GroebnerBasis):
@@ -590,19 +591,7 @@ def colength(gb: GroebnerBasis):
     terms; finite exactly when every position has a pure power of every
     variable among its leading terms.
     """
-    ring = gb.ring
-    bits = ring.mono_bits
-    mask = ring.mono_mask
-    by_pos: dict = {pos: [] for pos in range(gb.rank)}
-    for t in gb._lts:
-        by_pos[t >> bits].append(ring.unpack(t & mask))
-    total = 0
-    for pos in range(gb.rank):
-        cnt = monomial_ideal_colength(by_pos[pos], ring.nvars)
-        if cnt is INFINITE:
-            return INFINITE
-        total += cnt
-    return total
+    return gb.staircase().colength()
 
 
 # -- Krull dimension --------------------------------------------------------------
@@ -669,7 +658,7 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
     eng.run()
     for j in range(len(eng.basis)):
         for i in range(j):
-            if eng.ltpos[i] != eng.ltpos[j]:
+            if eng.lts[i] >> bits != eng.lts[j] >> bits:
                 continue
             srep = eng.spair(i, j, reps=True)
             rem = eng.reduce(eng.spair(i, j), rep=srep)

@@ -115,8 +115,8 @@ class PolyRing:
     """
 
     __slots__ = ("p", "vars", "nvars", "order", "_var_index", "_shifts",
-                 "mono_bits", "mono_mask", "guards", "_pos_guard_mask",
-                 "_key_cache", "_one_cache")
+                 "mono_bits", "mono_mask", "guards", "_key_cache",
+                 "_one_cache")
 
     def __init__(self, p: int, variables: Sequence[str],
                  order: MonomialOrder = GREVLEX):
@@ -144,7 +144,6 @@ class PolyRing:
         self.mono_bits = _FIELD * self.nvars
         self.mono_mask = (1 << self.mono_bits) - 1
         self.guards = sum(0x8000 << (_FIELD * i) for i in range(self.nvars))
-        self._pos_guard_mask = self.guards | (~self.mono_mask)
         self._key_cache: dict = {}
         self._one_cache: Optional[Polynomial] = None
 

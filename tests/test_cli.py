@@ -286,6 +286,38 @@ def test_exit_exponent_overflow(tmp_path):
     assert report["error"]["kind"] == "overflow"
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "problem.hk", "--nmax", "x"],
+    ["series", "problem.hk", "--no-such-flag"],
+    ["bogus", "problem.hk"],
+    [],
+])
+def test_exit_usage_error_is_a_report(argv):
+    # a usage error is an input error (1), never the budget exit code (2)
+    report, code = run_command(argv)
+    assert code == 1
+    assert report["error"]["kind"] == "usage"
+    assert report["command"] == argv
+    assert report["results"] == {}
+
+
+def test_main_usage_error_prints_report(capsys):
+    from hilbertkunz.cli import main
+    code = main(["series", "problem.hk", "--nmax", "x"])
+    assert code == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["error"]["kind"] == "usage"
+    assert "--nmax" in data["error"]["message"]
+
+
+def test_help_still_exits_zero(capsys):
+    from hilbertkunz.cli import main
+    with pytest.raises(SystemExit) as info:
+        main(["series", "--help"])
+    assert info.value.code == 0
+    assert "usage: hilbertkunz series" in capsys.readouterr().out
+
+
 # -- report shape and determinism ------------------------------------------------------------
 
 def test_report_shape_and_digest(tmp_path):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
-                         INFINITE, LEX, FreeModuleElement, PolyRing,
+                         INFINITE, LEX, ExponentOverflowError,
+                         FreeModuleElement, PolyRing,
                          buchberger, cokernel_dimension, colength,
                          krull_dimension, matrix_rank_over_domain,
                          monomial_ideal_colength, normal_form, syzygies)
@@ -166,6 +167,21 @@ def test_monomial_ideal_colength_direct():
     assert monomial_ideal_colength([(0, 0)], 2) == 0
 
 
+def test_monomial_ideal_colength_missing_pure_power():
+    # every variable needs a pure power, not only the last one
+    assert monomial_ideal_colength([(0, 1)], 2) is INFINITE
+    assert monomial_ideal_colength([(1, 1), (0, 2)], 2) is INFINITE
+    assert monomial_ideal_colength([(0, 3, 0), (0, 0, 2), (1, 1, 1)], 3) \
+        is INFINITE
+    assert monomial_ideal_colength([], 2) is INFINITE
+
+
+def test_monomial_ideal_colength_exponent_cap():
+    with pytest.raises(ExponentOverflowError):
+        monomial_ideal_colength([(32768,)], 1)
+    assert monomial_ideal_colength([(32767,)], 1) == 32767
+
+
 def test_staircase_queries():
     R = ring(2, "x", "y")
     gb = buchberger([R.parse("x^2"), R.parse("x*y"), R.parse("y^2")])
@@ -202,6 +218,40 @@ def test_monomial_colength_matches_box_enumeration_sample():
         R, gens, bounds = random_monomial_ideal(rng)
         got = monomial_ideal_colength(gens, R.nvars)
         assert got == box_staircase_count(gens, bounds)
+
+
+def test_colength_matches_box_enumeration_many_variables():
+    # 4 to 6 variables, so the slice recursion runs several levels deep
+    # and shares one memo across them; the box stays at most 729 points
+    rng = random.Random(4096)
+    names = ["a", "b", "c", "d", "e", "f"]
+    for trial in range(24):
+        nv = 4 + trial % 3
+        cap = 5 if nv == 4 else 3
+        R = ring(rng.choice([2, 3, 5]), *names[:nv])
+        bounds = [rng.randint(1, cap) for _ in range(nv)]
+        exps = [tuple(b if j == i else 0 for j in range(nv))
+                for i, b in enumerate(bounds)]
+        for _ in range(rng.randint(0, 8)):
+            cand = tuple(rng.randint(0, cap) for _ in range(nv))
+            if sum(cand) > 0:
+                exps.append(cand)
+        rng.shuffle(exps)
+        expected = box_staircase_count(exps, bounds)
+        assert monomial_ideal_colength(exps, nv) == expected
+        gb = buchberger([R.monomial(e) for e in exps])
+        assert colength(gb) == expected
+
+
+def test_module_colength_one_position_not_artinian():
+    R = ring(3, "x", "y")
+    squares = [FreeModuleElement.basis_vector(R, 2, 0, R.parse(mono))
+               for mono in ("x^2", "y^2")]
+    x_only = FreeModuleElement.basis_vector(R, 2, 1, R.parse("x^3"))
+    assert colength(buchberger(squares + [x_only], ring=R, rank=2)) \
+        is INFINITE
+    unit = FreeModuleElement.basis_vector(R, 2, 1, R.one())
+    assert colength(buchberger(squares + [unit], ring=R, rank=2)) == 4
 
 
 # -- krull dimension -----------------------------------------------------------------

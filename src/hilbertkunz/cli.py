@@ -25,6 +25,7 @@ import re
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -37,7 +38,7 @@ from .groebner import Budget, BudgetExceededError, INFINITE, colength
 from .hk import (HKSeries, IdealHandle, InfiniteColengthError,
                  ModulePresentation, RingPresentation, check_m_primary,
                  delta_n, series, tor1_length)
-from .poly import ExponentOverflowError, ParseError, is_prime
+from .poly import ExponentOverflowError, ParseError, PolyRing
 
 
 @dataclass
@@ -98,9 +99,23 @@ def _check_name(name: str, seen: dict, kind: str, line: int):
         raise ParseError(f"duplicate {kind} name {name!r}", line=line)
 
 
+@contextmanager
+def _at_line(lineno: Optional[int]):
+    """Re-raise any input error inside the block as a ParseError there."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(exc.message, line=lineno, col=exc.col) from None
+    except (ValueError, ExponentOverflowError) as exc:
+        raise ParseError(str(exc), line=lineno) from None
+
+
 def parse_problem(text: str) -> ProblemFile:
-    """Parse and validate a problem file; positions on every error."""
-    ring: Optional[RingPresentation] = None
+    """Parse and validate a problem file; raises only ParseError.
+
+    Every error names its line, except a file with no ring line.
+    """
+    ring: Optional[PolyRing] = None   # checked on its line, built with Q below
     quotient_line: Optional[tuple] = None
     pending: List[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,13 +130,9 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError(
                     "malformed ring line; expected "
                     "'ring p=<prime> vars=[a,b,...]'", line=lineno)
-            p = int(m.group(1))
-            if not is_prime(p):
-                raise ParseError(f"non-prime characteristic p={p}",
-                                 line=lineno)
-            names = _split_list(m.group(2), lineno)
-            ring_info = (p, names, lineno)
-            ring = ("pending", ring_info)   # built after quotient is seen
+            with _at_line(lineno):
+                ring = PolyRing(int(m.group(1)),
+                                _split_list(m.group(2), lineno))
             continue
         if stripped.startswith("quotient"):
             if ring is None:
@@ -137,18 +148,10 @@ def parse_problem(text: str) -> ProblemFile:
         pending.append((lineno, stripped))
     if ring is None:
         raise ParseError("missing ring declaration")
-    p, names, ring_line = ring[1]
-    qtexts: List[str] = []
-    qline = ring_line
-    if quotient_line is not None:
-        qline = quotient_line[1]
-        qtexts = _split_list(quotient_line[0], qline)
-    try:
-        ring_pres = RingPresentation(p, names, qtexts)
-    except ParseError as exc:
-        raise ParseError(exc.message, line=qline, col=exc.col) from None
-    except ValueError as exc:
-        raise ParseError(str(exc), line=ring_line) from None
+    qtext, qline = quotient_line or ("[]", None)
+    with _at_line(qline):
+        ring_pres = RingPresentation(ring.p, ring.vars,
+                                     _split_list(qtext, qline))
 
     ideals: Dict[str, IdealHandle] = {}
     modules: Dict[str, ModulePresentation] = {}
@@ -160,19 +163,16 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("malformed ideal line", line=lineno)
             name, body = m.group(1), m.group(2)
             _check_name(name, ideals, "ideal", lineno)
-            try:
+            with _at_line(lineno):
                 ideals[name] = IdealHandle(ring_pres,
                                            _split_list(body, lineno))
-            except ParseError as exc:
-                raise ParseError(exc.message, line=lineno, col=exc.col) \
-                    from None
         elif stripped.startswith("module"):
             m = _MODULE_RE.match(stripped)
             if not m:
                 raise ParseError("malformed module line", line=lineno)
             name, kind, body = m.group(1), m.group(2), m.group(3).strip()
             _check_name(name, modules, "module", lineno)
-            try:
+            with _at_line(lineno):
                 if kind == "cyclic":
                     modules[name] = ModulePresentation.cyclic(
                         ring_pres, _split_list(body, lineno))
@@ -194,22 +194,14 @@ def parse_problem(text: str) -> ProblemFile:
                     raise ParseError(
                         f"unknown module kind {kind!r}; expected cyclic, "
                         "idealmod or coker", line=lineno)
-            except ParseError as exc:
-                raise ParseError(exc.message, line=lineno, col=exc.col) \
-                    from None
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
         elif stripped.startswith("closedform"):
             m = _CLOSED_RE.match(stripped)
             if not m:
                 raise ParseError("malformed closedform line", line=lineno)
             name, body = m.group(1), m.group(2)
             _check_name(name, closed_forms, "closed form", lineno)
-            try:
+            with _at_line(lineno):
                 closed_forms[name] = parse_closed_form(body)
-            except ParseError as exc:
-                raise ParseError(exc.message, line=lineno, col=exc.col) \
-                    from None
         else:
             raise ParseError(f"unrecognized line {stripped.split()[0]!r}",
                              line=lineno)
@@ -272,6 +264,12 @@ class _Parser(argparse.ArgumentParser):
         raise _CommandError(message, kind="usage")
 
 
+def _budget_stop(message: str, partial) -> _CommandError:
+    """A budget stop that keeps the results computed before it."""
+    return _CommandError(message, exit_code=2, payload=partial,
+                         kind="budget")
+
+
 def _lookup(table: dict, name: Optional[str], kind: str):
     if name is None:
         raise _CommandError(f"missing --{kind} argument")
@@ -311,8 +309,7 @@ def _cmd_series(problem: ProblemFile, args):
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
     if s.error is not None:
-        raise _CommandError(s.error, exit_code=2,
-                            payload=_series_entries(s))
+        raise _budget_stop(s.error, _series_entries(s))
     # the series results payload is the plain entry list
     return _series_entries(s)
 
@@ -325,8 +322,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
     if s.error is not None:
-        raise _CommandError(s.error, exit_code=2,
-                            payload={"series": _series_payload(s)})
+        raise _budget_stop(s.error, {"series": _series_payload(s)})
     d = args.d if args.d is not None else problem.ring.dimension
     fit = fit_two_point(s, d, problem.ring.p)
     tau = tau_from_recurrence(s, d, problem.ring.p)
@@ -344,20 +340,25 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
         },
     }
     if args.rank is not None:
-        deltas = [(n, q, delta_n(problem.ring, module, ideal, n,
-                                 rank=args.rank, budget=args.budget_obj))
-                  for n, q, _ in s.entries]
+        deltas = []
+        out["delta"] = {"rank": args.rank, "entries": []}
+        for n, q, _ in s.entries:
+            try:
+                value = delta_n(problem.ring, module, ideal, n,
+                                rank=args.rank, budget=args.budget_obj)
+            except BudgetExceededError as exc:
+                raise _budget_stop(str(exc), out) from exc
+            deltas.append((n, q, value))
+            out["delta"]["entries"].append(
+                {"n": n, "q": q, "delta": str(value)})
         trend = tau_from_delta(deltas, d, problem.ring.p)
-        out["delta"] = {
-            "rank": args.rank,
-            "entries": [{"n": n, "q": q, "delta": str(v)}
-                        for n, q, v in deltas],
+        out["delta"].update({
             "tau_hat": trend.tau_hat,
             "v_sequence": [{"n": n, "value": _frac(v)}
                            for n, v in trend.sequence],
             "v_differences": [{"n": n, "value": _frac(v)}
                               for n, v in trend.differences],
-        }
+        })
     return out
 
 
@@ -377,8 +378,7 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
     if s.error is not None:
-        raise _CommandError(s.error, exit_code=2,
-                            payload={"series": _series_payload(s)})
+        raise _budget_stop(s.error, {"series": _series_payload(s)})
     report = verify_closed_form(s, cf)
     return {
         "series": _series_payload(s),
@@ -397,14 +397,20 @@ def _cmd_tor(problem: ProblemFile, args) -> dict:
     if module.kind != "coker":
         raise _CommandError("tor expects a coker module presentation")
     entries = []
+    rows = []
     for n in range(args.nmax + 1):
-        value = tor1_length(problem.ring, module, ideal, n,
-                            budget=args.budget_obj)
-        entries.append((n, problem.ring.p ** n, value))
+        try:
+            value = tor1_length(problem.ring, module, ideal, n,
+                                budget=args.budget_obj)
+        except BudgetExceededError as exc:
+            raise _budget_stop(str(exc), {"tor1": rows}) from exc
+        q = problem.ring.p ** n
+        entries.append((n, q, value))
+        rows.append({"n": n, "q": q, "length": str(value)})
     d = args.d if args.d is not None else problem.ring.dimension
     gamma = gamma_estimate(entries, d, problem.ring.p)
     return {
-        "tor1": [{"n": n, "q": q, "length": str(v)} for n, q, v in entries],
+        "tor1": rows,
         "gamma_hat": gamma.gamma_hat,
         "gamma_sequence": [{"n": n, "value": _frac(v)}
                            for n, v in gamma.sequence],
@@ -527,6 +533,8 @@ def _run(argv: List[str]) -> tuple:
         report["error"] = {"kind": exc.kind, "message": str(exc)}
         if exc.payload is not None:
             report["results"] = exc.payload
+        if isinstance(exc.__cause__, BudgetExceededError):
+            report["diagnostics"]["budget"] = exc.__cause__.diagnostics()
         exit_code = exc.exit_code
     except InfiniteColengthError as exc:
         report["error"] = {"kind": "not-m-primary", "message": str(exc)}

@@ -196,8 +196,7 @@ class GroebnerBasis:
 
     def _reducer(self) -> "_Engine":
         if self._reducer_cache is None:
-            eng = _Engine(self.ring, self.rank, self.order, DEFAULT_BUDGET,
-                          queue_pairs=False)
+            eng = _Engine(self.ring, self.rank, self.order, DEFAULT_BUDGET)
             for g in self.elements:
                 eng.add(dict(g._d))
             self._reducer_cache = eng
@@ -207,10 +206,7 @@ class GroebnerBasis:
         return normal_form(f, self)
 
     def contains(self, f) -> bool:
-        vec = as_vector(f)
-        if vec.rank != self.rank or not vec.ring.compatible(self.ring):
-            raise RingMismatchError("element does not match the basis")
-        return not self._reducer().reduce(dict(vec._d))
+        return not normal_form(f, self)
 
     def contains_one(self) -> bool:
         """For ideal bases: whether 1 lies in the ideal."""
@@ -248,8 +244,7 @@ class _Engine:
     """Shared machinery for Buchberger runs and normal-form reduction."""
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 budget: Budget, track: bool = False,
-                 queue_pairs: bool = True):
+                 budget: Budget, track: bool = False):
         self.ring = ring
         self.rank = rank
         self.order = order
@@ -260,15 +255,15 @@ class _Engine:
         self.guards = ring.guards
         self.keyf = ring.term_key_fn(order, rank)
         self.monokeyf = ring.mono_key_fn(order)
-        self.queue_pairs = queue_pairs
         self.basis: List[dict] = []
         self.lts: List[int] = []          # packed lead terms (pos | mono)
         self.ltmonos: List[int] = []
-        self.single: List[bool] = []      # single-term element
         self.one_pos: List[bool] = []     # supported on a single position
+        # live (not superseded) elements per position, in insertion order;
+        # find_reducer tries the single-term ones first, which takes fewer
+        # reduction steps than trying all of them in insertion order
         self.mono_by_pos: dict = {}       # pos -> [idx of single-term elements]
         self.gen_by_pos: dict = {}        # pos -> [idx of the rest]
-        self.active_by_pos: dict = {}     # pos -> [idx not superseded]
         self.track = track
         self.reps: List[dict] = []
         self.pairs: list = []             # heap of (lcm key, i, j, pos, lcm)
@@ -346,7 +341,7 @@ class _Engine:
     # -- basis growth ---------------------------------------------------------
 
     def add(self, vec: dict, rep: Optional[dict] = None) -> int:
-        """Normalize monic, append, and queue the new S-pairs."""
+        """Normalize monic, append, and index as a reducer."""
         lt = max(vec, key=self.keyf)
         lc = vec[lt]
         if lc != 1:
@@ -363,18 +358,15 @@ class _Engine:
         self.basis.append(vec)
         self.lts.append(lt)
         self.ltmonos.append(lt & self.mask)
-        self.single.append(len(vec) == 1)
         positions = {t >> self.bits for t in vec}
         self.one_pos.append(len(positions) == 1)
         if self.track:
             self.reps.append(rep if rep is not None else {})
         bucket = self.mono_by_pos if len(vec) == 1 else self.gen_by_pos
         bucket.setdefault(pos, []).append(idx)
-        if self.queue_pairs:
-            self._update_pairs(idx, pos)
         return idx
 
-    def _update_pairs(self, t: int, pos: int):
+    def _update_pairs(self, t: int):
         """Gebauer-Moeller update: queue pairs for the new element t.
 
         Realizes the coprime-lead and chain criteria at insertion time:
@@ -387,13 +379,15 @@ class _Engine:
         ring = self.ring
         divides = ring.mono_divides
         mono_t = self.ltmonos[t]
-        active = self.active_by_pos.setdefault(pos, [])
-        # candidate pairs against the active same-position elements
-        cand = []
-        for i in active:
-            if self.single[i] and self.single[t]:
-                continue              # S-vector of two terms is literally zero
-            cand.append((ring.mono_lcm(self.ltmonos[i], mono_t), i))
+        pos = self.lts[t] >> self.bits
+        monos = self.mono_by_pos.get(pos, [])
+        gens = self.gen_by_pos.get(pos, [])
+        active = monos + gens
+        active.remove(t)
+        # candidate pairs against the live same-position elements; the
+        # S-vector of two single terms is literally zero
+        partners = gens if len(self.basis[t]) == 1 else active
+        cand = [(ring.mono_lcm(self.ltmonos[i], mono_t), i) for i in partners]
         # drop candidates whose lcm strictly dominates another candidate's
         kept = []
         for lcm_i, i in cand:
@@ -429,16 +423,9 @@ class _Engine:
             heapq.heappush(self.pairs, (monokey(lcm_v), i, t, pos, lcm_v))
             self.pending[(i, t)] = (pos, lcm_v)
         # retire superseded elements from pair formation and reduction
-        survivors = []
         for i in active:
             if divides(mono_t, self.ltmonos[i]):
-                bucket = self.mono_by_pos if self.single[i] \
-                    else self.gen_by_pos
-                bucket[pos].remove(i)
-            else:
-                survivors.append(i)
-        survivors.append(t)
-        self.active_by_pos[pos] = survivors
+                (monos if len(self.basis[i]) == 1 else gens).remove(i)
 
     def spair(self, i: int, j: int, lcm: Optional[int] = None,
               reps: bool = False) -> dict:
@@ -487,7 +474,7 @@ class _Engine:
             rep = self.spair(i, j, lcm, reps=True) if self.track else None
             r = self.reduce(svec, rep=rep)
             if r:
-                self.add(r, rep)
+                self._update_pairs(self.add(r, rep))
 
     # -- canonical output ---------------------------------------------------------
 
@@ -510,19 +497,14 @@ class _Engine:
                 continue
             kept.append(k)
             kept_lts.append(lt)
-        reducer = _Engine(ring, self.rank, self.order, self.budget,
-                          queue_pairs=False)
-        for k in kept:
-            reducer.add(dict(self.basis[k]))
-        # a lead can never divide a monomial of its own tail, and normal
-        # forms against a Groebner basis are independent of reducer tails,
-        # so one pass over the minimal basis yields the reduced basis
+        # the live elements form a Groebner basis, and normal forms modulo
+        # a Groebner basis do not depend on which basis reduces them, so
+        # reducing each kept tail once yields the reduced basis
         elements = []
-        for slot, k in enumerate(kept):
-            lt = kept_lts[slot]
-            vec = dict(reducer.basis[slot])
+        for k, lt in zip(kept, kept_lts):
+            vec = dict(self.basis[k])
             c = vec.pop(lt)
-            tail = reducer.reduce(vec)
+            tail = self.reduce(vec)
             tail[lt] = c
             elements.append(FreeModuleElement(ring, self.rank, tail))
         return GroebnerBasis(ring, self.rank, self.order, elements, kept_lts)
@@ -559,7 +541,7 @@ def buchberger(gens: Iterable, order: Optional[MonomialOrder] = None, *,
     eng = _Engine(ring, rank, order, budget or DEFAULT_BUDGET)
     for v in vecs:
         if v._d:
-            eng.add(dict(v._d))
+            eng._update_pairs(eng.add(dict(v._d)))
     eng.run()
     return eng.finalize()
 
@@ -652,7 +634,7 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
     eng = _Engine(ring, rank, ring.order, budget, track=True)
     for i, v in enumerate(vecs):
         if v._d:
-            eng.add(dict(v._d), {i << bits: 1})
+            eng._update_pairs(eng.add(dict(v._d), {i << bits: 1}))
         else:
             raw.append({i << bits: 1})     # a zero generator is annihilated by 1
     eng.run()

@@ -109,23 +109,18 @@ class RingPresentation:
 
     def _colength_of_ideal(self, gens: Sequence[Polynomial],
                            budget: Optional[Budget]):
-        gens = [g for g in dict.fromkeys(gens) if g]
-        key = ("icol", tuple(sorted(g.key() for g in gens)))
-        hit = self._cache.get(key)
-        if hit is None:
-            gb = buchberger(gens, ring=self.ring, budget=budget or self.budget)
-            hit = colength(gb)
-            self._cache[key] = hit
-        return hit
+        """Colength in P of the ideal the polynomials generate.
+
+        Shares the module cache; bench/spans.py counts length requests
+        through this name and _colength_of_module.
+        """
+        return self._colength_of_module(_as_columns(self, gens), 1, budget)
 
     def _colength_of_module(self, gens: Sequence[FreeModuleElement],
                             rank: int, budget: Optional[Budget]):
-        if rank == 1:
-            # share the ideal-level cache: a rank-1 vector is a polynomial
-            polys = [Polynomial(self.ring, g._d) for g in gens]
-            return self._colength_of_ideal(polys, budget)
+        """Colength in P^rank of the submodule the vectors generate."""
         gens = [g for g in dict.fromkeys(gens) if g]
-        key = ("mcol", rank, tuple(sorted(g.key() for g in gens)))
+        key = ("colength", rank, tuple(sorted(g.key() for g in gens)))
         hit = self._cache.get(key)
         if hit is None:
             gb = buchberger(gens, ring=self.ring, rank=rank,

@@ -120,10 +120,10 @@ class PolyRing:
 
     def __init__(self, p: int, variables: Sequence[str],
                  order: MonomialOrder = GREVLEX):
-        if not (2 <= p < 2**31):
+        if not (2 <= p < 2**31):      # before the slow primality test
             raise ValueError(f"characteristic must satisfy 2 <= p < 2**31, got {p}")
         if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+            raise ValueError(f"non-prime characteristic p={p}")
         variables = tuple(variables)
         if not variables:
             raise ValueError("at least one variable is required")

@@ -5,8 +5,9 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hilbertkunz import ParseError, parse_problem
+from hilbertkunz import ParseError, parse_problem, poly
 from hilbertkunz.cli import run_command
 
 QUARTIC = """\
@@ -103,6 +104,75 @@ def test_parse_coker_column_length_mismatch():
     text = "ring p=5 vars=[x,y]\nmodule T = coker rows=2 [[x]]\n"
     with pytest.raises(ParseError):
         parse_problem(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("ring p=5 vars=[x]\nclosedform F = 1 * 0^n\n", 2),
+    ("ring p=5 vars=[x]\nclosedform F = 1 * 2^n + 3 * 2^n\n", 2),
+    ("ring p=5 vars=[x]\nquotient = [x^32768]\n", 2),
+    ("ring p=5 vars=[x]\nideal I = [x^40000]\n", 2),
+    ("ring p=5 vars=[x]\n\nmodule M = cyclic [x^32768]\n", 3),
+    ("ring p=5 vars=[x]\nmodule T = coker rows=1 [[x^9 * x^32760]]\n", 2),
+    ("ring p=5 vars=[x]\nideal I = [" + "9" * 5000 + "]\n", 2),
+], ids=["zero-base", "repeated-base", "quotient-exponent", "ideal-exponent",
+        "module-exponent", "coker-product-exponent", "long-integer"])
+def test_parse_errors_name_their_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert err.value.line == line
+
+
+def test_parse_characteristic_range_checked_before_primality(monkeypatch):
+    asked = []
+
+    def is_prime(p):
+        asked.append(p)
+        assert p < 2**31, "trial division asked about an unsupported p"
+        return True
+    monkeypatch.setattr(poly, "is_prime", is_prime)
+    for p in (2**31, 2305843009213693951, 0, 1):
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"ring p={p} vars=[x]\n")
+        assert err.value.line == 1
+    assert asked == []
+
+
+_FRAGMENTS = (
+    "ring p=5 vars=[x,y]", "ring p=3 vars=[x]", "ring p=6 vars=[x]",
+    "ring p=2147483648 vars=[x]", "ring p=5 vars=[]", "ring p=5 vars=[x,x]",
+    "ring p=5 vars=[1x]", "quotient = [x^4 + y^4]", "quotient = [x^32768]",
+    "quotient = [x", "ideal I = [x, y]", "ideal I = [x^40000]",
+    "ideal J = [z]", "ideal K = x", "ideal 1 = [x]", "module M = cyclic []",
+    "module M = cyclic [x*y]", "module N = idealmod [x, y]",
+    "module T = coker rows=2 [[x, 0], [0, y]]",
+    "module T = coker rows=1 [[x^32768]]", "module U = coker rows=2 [[x]]",
+    "module V = coker [x]", "module W = weird [x]",
+    "closedform F = 168/61 * 125^n - 107/61 * 3^n",
+    "closedform F = 1 * 0^n", "closedform G = 1/0 * 2^n",
+    "closedform H = 1 * 2^n + 1 * 2^n", "closedform K = ", "# comment", "",
+    "frobnicate",
+)
+
+
+@st.composite
+def problem_texts(draw):
+    lines = []
+    for fragment in draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=6)):
+        cut = draw(st.integers(0, len(fragment)))
+        noise = draw(st.text(alphabet="xy0159^*+-/[],= n", max_size=4))
+        lines.append(draw(st.sampled_from(
+            [fragment, fragment[:cut] + noise + fragment[cut:]])))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_texts())
+def test_parse_problem_raises_only_parse_errors(text):
+    try:
+        parse_problem(text)
+    except ParseError as exc:
+        assert exc.line is not None or exc.message == \
+            "missing ring declaration"
 
 
 def test_comments_and_blanks_ignored():
@@ -269,6 +339,46 @@ def test_exit_budget_exceeded(tmp_path):
     assert code == 2
     # partial results are preserved alongside the error object
     assert isinstance(report["results"], list)
+
+
+def test_series_budget_stop_is_a_budget_error(tmp_path):
+    path = write(tmp_path, QUARTIC)
+    for command in (["series"], ["fit"], ["verify", "--closed-form", "known"]):
+        report, code = run_command(
+            command + [path, "--module", "M", "--ideal", "I", "--nmax", "2",
+                       "--budget-pairs", "5"])
+        assert code == 2
+        assert report["error"]["kind"] == "budget"
+
+
+CUT_SHORT = QUARTIC + """\
+module T = coker rows=1 [[x1], [x2]]
+module C = cyclic [x1, x2]
+"""
+
+
+def test_tor_budget_stop_keeps_finished_entries(tmp_path):
+    path = write(tmp_path, CUT_SHORT)
+    report, code = run_command(
+        ["tor", path, "--module", "T", "--ideal", "I", "--nmax", "2",
+         "--budget-pairs", "60"])
+    assert code == 2
+    assert report["error"]["kind"] == "budget"
+    assert [e["length"] for e in report["results"]["tor1"]] == ["2", "50"]
+    assert report["diagnostics"]["budget"]["stage"] == "buchberger pairs"
+
+
+def test_fit_budget_stop_in_deltas_keeps_the_series(tmp_path):
+    path = write(tmp_path, CUT_SHORT)
+    report, code = run_command(
+        ["fit", path, "--module", "C", "--ideal", "I", "--nmax", "2",
+         "--rank", "0", "--budget-pairs", "100"])
+    assert code == 2
+    assert report["error"]["kind"] == "budget"
+    results = report["results"]
+    assert [e["e"] for e in results["series"]["entries"]] == ["1", "17", "97"]
+    assert [e["delta"] for e in results["delta"]["entries"]] == ["1", "17"]
+    assert report["diagnostics"]["budget"]["limit"] == 100
 
 
 def test_missing_file():

@@ -10,6 +10,7 @@ from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
                          buchberger, cokernel_dimension, colength,
                          krull_dimension, matrix_rank_over_domain,
                          monomial_ideal_colength, normal_form, syzygies)
+from hilbertkunz.poly import as_vector
 
 from oracles import (box_staircase_count, dense_colength,
                      random_artinian_ideal, random_monomial_ideal)
@@ -93,6 +94,44 @@ def test_spair_reverification():
         [R.parse("x + y + z"), R.parse("x*y + y*z + x*z"), R.parse("x*y*z - 1")],
     ):
         assert buchberger(gens).verify()
+
+
+def _equal_and_dividing_ideal(R):
+    # the first two share the lead x*y, which divides the third's x^2*y
+    return [R.parse("x*y - z^2"), R.parse("x*y + y*z"),
+            R.parse("x^2*y + y^3 - z^3")]
+
+
+def _equal_and_dividing_submodule(R):
+    def vec(a, b):
+        return FreeModuleElement.from_components(R, [R.parse(a), R.parse(b)])
+    # the same pattern in position 0, and a dividing pair in position 1
+    return [vec("x*y - z^2", "x"), vec("x*y + y*z", "y"),
+            vec("x^2*y", "z"), vec("0", "x - y"), vec("0", "x^2 + z^2")]
+
+
+@pytest.mark.parametrize("build", [_equal_and_dividing_ideal,
+                                   _equal_and_dividing_submodule])
+def test_equal_and_dividing_input_leads(build):
+    # in one input order the live set keeps elements with non-minimal
+    # leads, and the final tails are reduced against those too
+    R = ring(5, "x", "y", "z")
+    gens = build(R)
+    rank = gens[0].rank if isinstance(gens[0], FreeModuleElement) else 1
+    bases = [buchberger(order, ring=R, rank=rank)
+             for order in (gens, gens[::-1])]
+    assert bases[0].elements == bases[1].elements
+    for gb in bases:
+        assert gb.verify()
+        assert all(normal_form(g, gb).is_zero() for g in gens)
+    for order in (gens, gens[::-1]):
+        syz = syzygies(order)
+        assert syz
+        for s in syz:
+            combo = FreeModuleElement(R, rank, {})
+            for i, g in enumerate(order):
+                combo = combo + s.component(i) * as_vector(g)
+            assert combo.is_zero()
 
 
 # -- normal forms ---------------------------------------------------------------

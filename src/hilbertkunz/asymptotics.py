@@ -92,7 +92,10 @@ def parse_closed_form(text: str) -> ClosedForm:
         terms.append((c, int(m.group("base"))))
         pos = m.end()
         first = False
-    return ClosedForm(tuple(terms))
+    try:
+        return ClosedForm(tuple(terms))
+    except ValueError as exc:          # a zero or repeated base
+        raise ParseError(str(exc)) from None
 
 
 @dataclass(frozen=True)

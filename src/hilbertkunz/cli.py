@@ -252,11 +252,12 @@ def _fit_payload(fit) -> dict:
 
 class _CommandError(Exception):
     def __init__(self, message: str, exit_code: int = 1, payload=None,
-                 kind: str = "command"):
+                 kind: str = "command", budget: Optional[dict] = None):
         super().__init__(message)
         self.exit_code = exit_code
         self.payload = payload
         self.kind = kind
+        self.budget = budget or {}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,10 +265,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CommandError(message, kind="usage")
 
 
-def _budget_stop(message: str, partial) -> _CommandError:
-    """A budget stop that keeps the results computed before it."""
+def _budget_stop(message: str, partial, budget: dict) -> _CommandError:
+    """A budget stop that keeps the results computed before it.
+
+    budget is the stop's stage, limit and count.
+    """
     return _CommandError(message, exit_code=2, payload=partial,
-                         kind="budget")
+                         kind="budget", budget=budget)
 
 
 def _lookup(table: dict, name: Optional[str], kind: str):
@@ -309,7 +313,7 @@ def _cmd_series(problem: ProblemFile, args):
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
     if s.error is not None:
-        raise _budget_stop(s.error, _series_entries(s))
+        raise _budget_stop(s.error, _series_entries(s), s.budget)
     # the series results payload is the plain entry list
     return _series_entries(s)
 
@@ -322,7 +326,8 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
     if s.error is not None:
-        raise _budget_stop(s.error, {"series": _series_payload(s)})
+        raise _budget_stop(s.error, {"series": _series_payload(s)},
+                           s.budget)
     d = args.d if args.d is not None else problem.ring.dimension
     fit = fit_two_point(s, d, problem.ring.p)
     tau = tau_from_recurrence(s, d, problem.ring.p)
@@ -347,7 +352,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
                 value = delta_n(problem.ring, module, ideal, n,
                                 rank=args.rank, budget=args.budget_obj)
             except BudgetExceededError as exc:
-                raise _budget_stop(str(exc), out) from exc
+                raise _budget_stop(str(exc), out, exc.diagnostics()) from exc
             deltas.append((n, q, value))
             out["delta"]["entries"].append(
                 {"n": n, "q": q, "delta": str(value)})
@@ -378,7 +383,8 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
                module_label=args.module, ideal_label=args.ideal,
                budget=args.budget_obj)
     if s.error is not None:
-        raise _budget_stop(s.error, {"series": _series_payload(s)})
+        raise _budget_stop(s.error, {"series": _series_payload(s)},
+                           s.budget)
     report = verify_closed_form(s, cf)
     return {
         "series": _series_payload(s),
@@ -394,8 +400,6 @@ def _cmd_tor(problem: ProblemFile, args) -> dict:
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
     module = _lookup(problem.modules, args.module, "module")
     _require_m_primary(ideal, args.ideal)
-    if module.kind != "coker":
-        raise _CommandError("tor expects a coker module presentation")
     entries = []
     rows = []
     for n in range(args.nmax + 1):
@@ -403,7 +407,8 @@ def _cmd_tor(problem: ProblemFile, args) -> dict:
             value = tor1_length(problem.ring, module, ideal, n,
                                 budget=args.budget_obj)
         except BudgetExceededError as exc:
-            raise _budget_stop(str(exc), {"tor1": rows}) from exc
+            raise _budget_stop(str(exc), {"tor1": rows},
+                               exc.diagnostics()) from exc
         q = problem.ring.p ** n
         entries.append((n, q, value))
         rows.append({"n": n, "q": q, "length": str(value)})
@@ -533,8 +538,7 @@ def _run(argv: List[str]) -> tuple:
         report["error"] = {"kind": exc.kind, "message": str(exc)}
         if exc.payload is not None:
             report["results"] = exc.payload
-        if isinstance(exc.__cause__, BudgetExceededError):
-            report["diagnostics"]["budget"] = exc.__cause__.diagnostics()
+        report["diagnostics"]["budget"] = exc.budget
         exit_code = exc.exit_code
     except InfiniteColengthError as exc:
         report["error"] = {"kind": "not-m-primary", "message": str(exc)}

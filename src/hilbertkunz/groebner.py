@@ -116,7 +116,7 @@ class Staircase:
 
     __slots__ = ("ring", "rank", "_by_pos")
 
-    def __init__(self, ring: PolyRing, rank: int, lead_terms: Sequence[int]):
+    def __init__(self, ring: PolyRing, rank: int, lead_terms: Iterable[int]):
         self.ring = ring
         self.rank = rank
         bits = ring.mono_bits
@@ -387,20 +387,10 @@ class _Engine:
         # candidate pairs against the live same-position elements; the
         # S-vector of two single terms is literally zero
         partners = gens if len(self.basis[t]) == 1 else active
-        cand = [(ring.mono_lcm(self.ltmonos[i], mono_t), i) for i in partners]
-        # drop candidates whose lcm strictly dominates another candidate's
-        kept = []
-        for lcm_i, i in cand:
-            dominated = False
-            for lcm_j, j in cand:
-                if lcm_j != lcm_i and divides(lcm_j, lcm_i):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append((lcm_i, i))
         groups: dict = {}
-        for lcm_i, i in kept:
-            groups.setdefault(lcm_i, []).append(i)
+        for i in partners:
+            groups.setdefault(ring.mono_lcm(self.ltmonos[i], mono_t),
+                              []).append(i)
         # prune old pairs strictly covered by the new lead (chain criterion)
         stale = []
         for (i, j), (ppos, lcm_ij) in self.pending.items():
@@ -411,9 +401,10 @@ class _Engine:
                 stale.append((i, j))
         for key in stale:
             del self.pending[key]
-        # one representative per lcm; none when the product criterion fires
+        # one representative per lcm that no other candidate lcm divides;
+        # none when the product criterion fires
         monokey = self.monokeyf
-        for lcm_v in sorted(groups):
+        for lcm_v in _minimal(sorted(groups), self.guards):
             idxs = groups[lcm_v]
             if self.one_pos[t] and any(
                     self.one_pos[i] and lcm_v == self.ltmonos[i] + mono_t
@@ -480,23 +471,15 @@ class _Engine:
 
     def finalize(self) -> GroebnerBasis:
         """Minimalize and tail-reduce into the unique reduced basis."""
-        ring = self.ring
-        keyf = self.keyf
-        order_idx = sorted(range(len(self.basis)),
-                           key=lambda k: keyf(self.lts[k]))
-        g = ring.guards
+        first: dict = {}                  # lead -> its lowest basis index
+        for k, lt in enumerate(self.lts):
+            first.setdefault(lt, k)
         bits = self.bits
-        kept: List[int] = []
-        kept_lts: List[int] = []
-        for k in order_idx:
-            lt = self.lts[k]
-            ltg = lt | g
-            pos = lt >> bits
-            if any((ltg - other) & g == g and (other >> bits) == pos
-                   for other in kept_lts):
-                continue
-            kept.append(k)
-            kept_lts.append(lt)
+        stairs = Staircase(self.ring, self.rank, first)
+        kept_lts = sorted((pos << bits | m
+                           for pos, monos in stairs._by_pos.items()
+                           for m in monos), key=self.keyf)
+        kept = [first[lt] for lt in kept_lts]
         # the live elements form a Groebner basis, and normal forms modulo
         # a Groebner basis do not depend on which basis reduces them, so
         # reducing each kept tail once yields the reduced basis
@@ -506,8 +489,9 @@ class _Engine:
             c = vec.pop(lt)
             tail = self.reduce(vec)
             tail[lt] = c
-            elements.append(FreeModuleElement(ring, self.rank, tail))
-        return GroebnerBasis(ring, self.rank, self.order, elements, kept_lts)
+            elements.append(FreeModuleElement(self.ring, self.rank, tail))
+        return GroebnerBasis(self.ring, self.rank, self.order, elements,
+                             kept_lts)
 
 
 def _normalize_gens(gens, ring: Optional[PolyRing], rank: Optional[int]):

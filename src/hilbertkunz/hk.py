@@ -287,12 +287,16 @@ def _as_columns(ring: RingPresentation,
 
 @dataclass(frozen=True)
 class HKSeries:
-    """The sequence (n, q, e_n) as exact integers, with error diagnostics."""
+    """The sequence (n, q, e_n) as exact integers, with error diagnostics.
+
+    After a budget stop, budget holds the stop's stage, limit and count.
+    """
     module_label: str
     ideal_label: str
     entries: Tuple[Tuple[int, int, int], ...]
     error: Optional[str] = None
     failed_n: Optional[int] = None
+    budget: Optional[dict] = None
 
     def values(self) -> list:
         return [e for (_, _, e) in self.entries]
@@ -437,20 +441,19 @@ def delta_n(ring: RingPresentation, module: ModulePresentation,
 def tor1_length(ring: RingPresentation, module: ModulePresentation,
                 ideal: IdealHandle, n: int, *,
                 budget: Optional[Budget] = None) -> int:
-    """Length of Tor_1(T, R/I^[q]) for T presented as a cokernel.
+    """Length of Tor_1(T, R/I^[q]) for any presented module T.
 
-    Uses the alternating-sum identity along 0 -> N -> R^s -> T -> 0 with N
-    the column module of the presentation: the length equals
-    e_n(N) + e_n(T) - s e_n(R).
+    Uses the alternating-sum identity along 0 -> N -> R^s -> T -> 0 with
+    coker(s, columns) the module's cokernel presentation and N the column
+    module: the length equals e_n(N) + e_n(T) - s e_n(R).
     """
-    if module.kind != "coker":
-        raise ValueError("tor1_length expects a cokernel presentation")
-    column_module = ModulePresentation("image", image=module.columns,
-                                       ambient_rank=len(module.columns))
+    s, columns = _cokernel(ring, module, budget)
+    column_module = ModulePresentation("image", image=columns,
+                                       ambient_rank=len(columns))
     e_n_N = en_module(ring, column_module, ideal, n, budget=budget)
-    e_n_T = en_module(ring, module, ideal, n, budget=budget)
+    e_n_T = _colength_mod_bracket(ring, s, columns, ideal, n, budget)
     e_n_R = en_cyclic(ring, (), ideal, n, budget=budget)
-    value = e_n_N + e_n_T - module.ambient_rank * e_n_R
+    value = e_n_N + e_n_T - s * e_n_R
     if value < 0:        # pragma: no cover - violates the exact identity
         raise AssertionError("negative Tor length; presentation inconsistent")
     return value
@@ -468,7 +471,8 @@ def series(ring: RingPresentation, module: ModulePresentation,
             e = en_module(ring, module, ideal, n, budget=budget)
         except BudgetExceededError as exc:
             return HKSeries(module_label, ideal_label, tuple(entries),
-                            error=str(exc), failed_n=n)
+                            error=str(exc), failed_n=n,
+                            budget=exc.diagnostics())
         entries.append((n, p ** n, e))
     return HKSeries(module_label, ideal_label, tuple(entries))
 

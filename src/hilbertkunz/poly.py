@@ -360,13 +360,6 @@ class Polynomial:
         key = self.ring.mono_key_fn(order)
         return self._d[max(self._d, key=key)]
 
-    def total_degree(self) -> Optional[int]:
-        """Max term degree, or None for the zero polynomial."""
-        if not self._d:
-            return None
-        deg = self.ring.mono_deg
-        return max(deg(m) for m in self._d)
-
     def min_degree(self) -> Optional[int]:
         if not self._d:
             return None

@@ -288,6 +288,27 @@ def test_cmd_tor(tmp_path):
     assert report["results"]["gamma_sequence"][-1]["value"] == "1"
 
 
+def test_cmd_tor_accepts_every_module_kind(tmp_path):
+    path = write(tmp_path, REGULAR)
+    for module, length in (("M", "0"), ("J", "1")):
+        report, code = run_command(
+            ["tor", path, "--module", module, "--ideal", "I", "--nmax", "2"])
+        assert code == 0
+        assert [e["length"] for e in report["results"]["tor1"]] == \
+            [length] * 3
+
+
+@pytest.mark.parametrize("form", ["1 * 0^n", "1 * 3^n + 2 * 3^n"])
+def test_verify_invalid_closed_form_base_is_a_command_error(tmp_path, form):
+    path = write(tmp_path, REGULAR)
+    report, code = run_command(
+        ["verify", path, "--module", "M", "--ideal", "I",
+         "--closed-form", form])
+    assert code == 1
+    assert report["error"]["kind"] == "command"
+    assert report["error"]["message"].startswith("bad closed form: ")
+
+
 def test_cmd_gb(tmp_path):
     path = write(tmp_path, REGULAR)
     report, code = run_command(["gb", path, "--ideal", "I"])
@@ -349,6 +370,17 @@ def test_series_budget_stop_is_a_budget_error(tmp_path):
                        "--budget-pairs", "5"])
         assert code == 2
         assert report["error"]["kind"] == "budget"
+
+
+def test_series_budget_stop_fills_budget_diagnostics(tmp_path):
+    path = write(tmp_path, QUARTIC)
+    for command in (["series"], ["fit"], ["verify", "--closed-form", "known"]):
+        report, code = run_command(
+            command + [path, "--module", "M", "--ideal", "I", "--nmax", "2",
+                       "--budget-pairs", "5"])
+        assert code == 2
+        assert report["diagnostics"]["budget"] == {
+            "stage": "buchberger pairs", "limit": 5, "count": 6}
 
 
 CUT_SHORT = QUARTIC + """\

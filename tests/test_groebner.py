@@ -10,6 +10,7 @@ from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
                          buchberger, cokernel_dimension, colength,
                          krull_dimension, matrix_rank_over_domain,
                          monomial_ideal_colength, normal_form, syzygies)
+from hilbertkunz.groebner import _minimal
 from hilbertkunz.poly import as_vector
 
 from oracles import (box_staircase_count, dense_colength,
@@ -110,8 +111,17 @@ def _equal_and_dividing_submodule(R):
             vec("x^2*y", "z"), vec("0", "x - y"), vec("0", "x^2 + z^2")]
 
 
+def _shared_lead_submodule(R):
+    def vec(a, b):
+        return FreeModuleElement.from_components(R, [R.parse(a), R.parse(b)])
+    # two inputs share the minimal lead x*y in position 0; finalize keeps
+    # the one with the lower index
+    return [vec("x*y + z^2", "y"), vec("x*y", "z"), vec("0", "x^2 - y*z")]
+
+
 @pytest.mark.parametrize("build", [_equal_and_dividing_ideal,
-                                   _equal_and_dividing_submodule])
+                                   _equal_and_dividing_submodule,
+                                   _shared_lead_submodule])
 def test_equal_and_dividing_input_leads(build):
     # in one input order the live set keeps elements with non-minimal
     # leads, and the final tails are reduced against those too
@@ -132,6 +142,28 @@ def test_equal_and_dividing_input_leads(build):
             for i, g in enumerate(order):
                 combo = combo + s.component(i) * as_vector(g)
             assert combo.is_zero()
+
+
+def test_minimal_matches_brute_force():
+    # one routine drops non-minimal monomials for the staircase, the pair
+    # update and finalize; the reference compares exponent tuples directly
+    rng = random.Random(1988)
+    for nvars in (2, 3, 4):
+        R = PolyRing(5, [f"x{i}" for i in range(nvars)])
+        for _ in range(150):
+            pool = [R.pack([rng.randrange(4) for _ in range(nvars)])
+                    for _ in range(rng.randrange(1, 10))]
+            lcms = [R.mono_lcm(rng.choice(pool), rng.choice(pool))
+                    for _ in range(rng.randrange(6))]
+            monos = pool + rng.choices(pool, k=3) + lcms + lcms
+            exps = {m: R.unpack(m) for m in monos}
+
+            def divides(a, b):
+                return all(x <= y for x, y in zip(exps[a], exps[b]))
+
+            want = sorted(m for m in exps
+                          if not any(h != m and divides(h, m) for h in exps))
+            assert list(_minimal(sorted(monos), R.guards)) == want
 
 
 # -- normal forms ---------------------------------------------------------------

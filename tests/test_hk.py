@@ -378,11 +378,19 @@ def test_tor_direct_sum_additivity():
         assert tor1_length(ring, AB, I, n) == parts == 2 * 3 ** n
 
 
-def test_tor_requires_coker():
-    ring = regular_ring(2, 2)
+def test_tor_accepts_every_module_kind():
+    # each kind goes through its cokernel presentation: R/(x1) is
+    # coker(1, [[x1]]), and Tor_1(m, R/m^[q]) = Tor_2(k, R/m^[q]) is the
+    # one-dimensional socle of R/m^[q] (Koszul complex on x1, x2)
+    ring = regular_ring(3, 2)
     I = maximal_ideal(ring)
-    with pytest.raises(ValueError):
-        tor1_length(ring, ModulePresentation.cyclic(ring, ["x1"]), I, 1)
+    cyclic = ModulePresentation.cyclic(ring, ["x1"])
+    coker = ModulePresentation.coker(ring, 1, [["x1"]])
+    ideal = ModulePresentation.ideal_as_module(ring, ["x1", "x2"])
+    for n in range(4):
+        assert tor1_length(ring, cyclic, I, n) == \
+            tor1_length(ring, coker, I, n) == 3 ** n
+        assert tor1_length(ring, ideal, I, n) == 1
 
 
 def test_tor_growth_on_quartic_hypersurface_section():
@@ -460,6 +468,13 @@ def test_series_partial_on_budget():
     assert s.error is not None
     assert s.failed_n is not None
     assert len(s.entries) == s.failed_n
+
+
+@pytest.mark.slow
+def test_quartic_e4():
+    # about a minute: 5284 Buchberger pairs, a final basis of 1727 elements
+    ring = quartic_ring()
+    assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 672387153
 
 
 def test_ring_dimension_cache_consistency():

@@ -82,14 +82,18 @@ def parse_closed_form(text: str) -> ClosedForm:
         if not first and sign is None:
             raise ParseError("terms must be joined by '+' or '-'",
                              col=m.start() + 1)
-        num = int(m.group("num"))
-        den = int(m.group("den")) if m.group("den") else 1
+        try:
+            num, den, base = (int(m.group(k) or 1)
+                              for k in ("num", "den", "base"))
+        except ValueError:          # past the int() digit limit
+            raise ParseError("integer has too many digits",
+                             col=m.start() + 1) from None
         if den == 0:
             raise ParseError("zero denominator", col=m.start() + 1)
         c = Fraction(num, den)
         if sign == "-":
             c = -c
-        terms.append((c, int(m.group("base"))))
+        terms.append((c, base))
         pos = m.end()
         first = False
     try:

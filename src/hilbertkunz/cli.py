@@ -251,27 +251,16 @@ def _fit_payload(fit) -> dict:
 
 
 class _CommandError(Exception):
-    def __init__(self, message: str, exit_code: int = 1, payload=None,
-                 kind: str = "command", budget: Optional[dict] = None):
+    """An input or usage error found by a command; exits 1."""
+
+    def __init__(self, message: str, kind: str = "command"):
         super().__init__(message)
-        self.exit_code = exit_code
-        self.payload = payload
         self.kind = kind
-        self.budget = budget or {}
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):    # argparse exits 2, the budget code
         raise _CommandError(message, kind="usage")
-
-
-def _budget_stop(message: str, partial, budget: dict) -> _CommandError:
-    """A budget stop that keeps the results computed before it.
-
-    budget is the stop's stage, limit and count.
-    """
-    return _CommandError(message, exit_code=2, payload=partial,
-                         kind="budget", budget=budget)
 
 
 def _lookup(table: dict, name: Optional[str], kind: str):
@@ -284,11 +273,31 @@ def _lookup(table: dict, name: Optional[str], kind: str):
             f"unknown {kind} {name!r}; declared: {sorted(table)}") from None
 
 
-def _require_m_primary(ideal: IdealHandle, name: str):
+def _inputs(problem: ProblemFile, args) -> tuple:
+    """The --module and the m-primary --ideal that a command reads."""
+    ideal = _lookup(problem.ideals, args.ideal, "ideal")
+    module = _lookup(problem.modules, args.module, "module")
     if not check_m_primary(ideal):
         raise _CommandError(
-            f"ideal {name!r} is not m-primary: the quotient has infinite "
-            "length")
+            f"ideal {args.ideal!r} is not m-primary: the quotient has "
+            "infinite length")
+    return module, ideal
+
+
+def _series(problem: ProblemFile, args, module, ideal, partial) -> HKSeries:
+    """The series e_0..e_nmax; a stop raises with exc.partial = partial(s)."""
+    s = series(problem.ring, module, ideal, args.nmax,
+               module_label=args.module, ideal_label=args.ideal,
+               budget=args.budget_obj)
+    if s.error is not None:
+        exc = BudgetExceededError(**s.budget)
+        exc.partial = partial(s)
+        raise exc
+    return s
+
+
+def _series_section(s: HKSeries) -> dict:
+    return {"series": _series_payload(s)}
 
 
 # -- commands -----------------------------------------------------------------------
@@ -306,28 +315,14 @@ def _cmd_check(problem: ProblemFile, args) -> dict:
 
 
 def _cmd_series(problem: ProblemFile, args):
-    ideal = _lookup(problem.ideals, args.ideal, "ideal")
-    module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(ideal, args.ideal)
-    s = series(problem.ring, module, ideal, args.nmax,
-               module_label=args.module, ideal_label=args.ideal,
-               budget=args.budget_obj)
-    if s.error is not None:
-        raise _budget_stop(s.error, _series_entries(s), s.budget)
     # the series results payload is the plain entry list
+    s = _series(problem, args, *_inputs(problem, args), _series_entries)
     return _series_entries(s)
 
 
 def _cmd_fit(problem: ProblemFile, args) -> dict:
-    ideal = _lookup(problem.ideals, args.ideal, "ideal")
-    module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(ideal, args.ideal)
-    s = series(problem.ring, module, ideal, args.nmax,
-               module_label=args.module, ideal_label=args.ideal,
-               budget=args.budget_obj)
-    if s.error is not None:
-        raise _budget_stop(s.error, {"series": _series_payload(s)},
-                           s.budget)
+    module, ideal = _inputs(problem, args)
+    s = _series(problem, args, module, ideal, _series_section)
     d = args.d if args.d is not None else problem.ring.dimension
     fit = fit_two_point(s, d, problem.ring.p)
     tau = tau_from_recurrence(s, d, problem.ring.p)
@@ -352,7 +347,8 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
                 value = delta_n(problem.ring, module, ideal, n,
                                 rank=args.rank, budget=args.budget_obj)
             except BudgetExceededError as exc:
-                raise _budget_stop(str(exc), out, exc.diagnostics()) from exc
+                exc.partial = out
+                raise
             deltas.append((n, q, value))
             out["delta"]["entries"].append(
                 {"n": n, "q": q, "delta": str(value)})
@@ -368,9 +364,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
 
 
 def _cmd_verify(problem: ProblemFile, args) -> dict:
-    ideal = _lookup(problem.ideals, args.ideal, "ideal")
-    module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(ideal, args.ideal)
+    module, ideal = _inputs(problem, args)
     if args.closed_form is None:
         raise _CommandError("missing --closed-form argument")
     cf = problem.closed_forms.get(args.closed_form)
@@ -379,12 +373,7 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
             cf = parse_closed_form(args.closed_form)
         except ParseError as exc:
             raise _CommandError(f"bad closed form: {exc}") from None
-    s = series(problem.ring, module, ideal, args.nmax,
-               module_label=args.module, ideal_label=args.ideal,
-               budget=args.budget_obj)
-    if s.error is not None:
-        raise _budget_stop(s.error, {"series": _series_payload(s)},
-                           s.budget)
+    s = _series(problem, args, module, ideal, _series_section)
     report = verify_closed_form(s, cf)
     return {
         "series": _series_payload(s),
@@ -397,9 +386,7 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
 
 
 def _cmd_tor(problem: ProblemFile, args) -> dict:
-    ideal = _lookup(problem.ideals, args.ideal, "ideal")
-    module = _lookup(problem.modules, args.module, "module")
-    _require_m_primary(ideal, args.ideal)
+    module, ideal = _inputs(problem, args)
     entries = []
     rows = []
     for n in range(args.nmax + 1):
@@ -407,8 +394,8 @@ def _cmd_tor(problem: ProblemFile, args) -> dict:
             value = tor1_length(problem.ring, module, ideal, n,
                                 budget=args.budget_obj)
         except BudgetExceededError as exc:
-            raise _budget_stop(str(exc), {"tor1": rows},
-                               exc.diagnostics()) from exc
+            exc.partial = {"tor1": rows}
+            raise
         q = problem.ring.p ** n
         entries.append((n, q, value))
         rows.append({"n": n, "q": q, "length": str(value)})
@@ -536,15 +523,16 @@ def _run(argv: List[str]) -> tuple:
         exit_code = 1
     except _CommandError as exc:
         report["error"] = {"kind": exc.kind, "message": str(exc)}
-        if exc.payload is not None:
-            report["results"] = exc.payload
-        report["diagnostics"]["budget"] = exc.budget
-        exit_code = exc.exit_code
+        exit_code = 1
     except InfiniteColengthError as exc:
         report["error"] = {"kind": "not-m-primary", "message": str(exc)}
         exit_code = 1
     except BudgetExceededError as exc:
+        # every budget stop; partial holds what was finished before it
         report["error"] = {"kind": "budget", "message": str(exc)}
+        partial = getattr(exc, "partial", None)
+        if partial is not None:
+            report["results"] = partial
         report["diagnostics"]["budget"] = exc.diagnostics()
         exit_code = 2
     except ExponentOverflowError as exc:

@@ -25,7 +25,8 @@ from .groebner import (Budget, BudgetExceededError, GroebnerBasis, INFINITE,
                        buchberger, cokernel_dimension, colength,
                        krull_dimension, matrix_rank_over_domain, syzygies)
 from .poly import (EXP_LIMIT, ExponentOverflowError, FreeModuleElement,
-                   MonomialOrder, PolyRing, Polynomial, parse_poly)
+                   MonomialOrder, PolyRing, Polynomial, RingMismatchError,
+                   parse_poly)
 
 
 class InfiniteColengthError(ValueError):
@@ -50,6 +51,9 @@ def _coerce_polys(ring: PolyRing, gens) -> Tuple[Polynomial, ...]:
         if isinstance(g, str):
             out.append(parse_poly(g, ring))
         elif isinstance(g, Polynomial):
+            if not g.ring.compatible(ring):
+                raise RingMismatchError(
+                    f"generator {g} is from {g.ring!r}, not {ring!r}")
             out.append(g)
         else:
             raise TypeError(f"expected polynomial or string, got {type(g)}")
@@ -101,10 +105,6 @@ class RingPresentation:
             self._dim = krull_dimension(self.defining_gb)
         return self._dim
 
-    def is_zero_in_quotient(self, f: Polynomial) -> bool:
-        """Whether f is zero in R, i.e. lies in Q."""
-        return self.defining_gb.contains(f)
-
     # -- cached length computations ------------------------------------------
 
     def _colength_of_ideal(self, gens: Sequence[Polynomial],
@@ -152,9 +152,6 @@ class IdealHandle:
             self._gb = buchberger(list(self.ring.quotient) + list(self.gens),
                                   ring=self.ring.ring, budget=self.ring.budget)
         return self._gb
-
-    def key(self) -> tuple:
-        return tuple(g.key() for g in self.gens)
 
     def __repr__(self):
         return f"IdealHandle({[str(g) for g in self.gens]})"
@@ -239,6 +236,9 @@ class ModulePresentation:
         cols = []
         for col in columns:
             if isinstance(col, FreeModuleElement):
+                if not col.ring.compatible(ring.ring):
+                    raise RingMismatchError(
+                        "relation column from a different ring")
                 if col.rank != ambient_rank:
                     raise ValueError("relation column has the wrong length")
                 cols.append(col)
@@ -260,12 +260,6 @@ class ModulePresentation:
         return cls("idealmod", gens=gens, ambient_rank=max(len(gens), 1),
                    asserted_rank=asserted_rank,
                    image=_as_columns(ring, gens))
-
-    def key(self) -> tuple:
-        return (self.kind, self.ambient_rank,
-                tuple(g.key() for g in self.gens),
-                tuple(c.key() for c in self.columns),
-                tuple(c.key() for c in self.image or ()))
 
     def __repr__(self):
         if self.kind in ("cyclic", "idealmod"):

@@ -316,6 +316,45 @@ class PolyRing:
         return parse_poly(text, self)
 
 
+# -- term arithmetic shared by Polynomial and FreeModuleElement ------------
+#
+# Term dicts map packed terms to coefficients in (0, p); every result is
+# canonical again (no zero coefficients).
+
+
+def _add_terms(a: dict, b: dict, p: int) -> dict:
+    d = dict(a)
+    for t, c in b.items():
+        nc = (d.get(t, 0) + c) % p
+        if nc:
+            d[t] = nc
+        else:
+            d.pop(t, None)
+    return d
+
+
+def _scale_terms(d: dict, c: int, p: int) -> dict:
+    c %= p
+    return {t: (v * c) % p for t, v in d.items()} if c else {}
+
+
+def _mul_terms(f: dict, d: dict, p: int, guards: int) -> dict:
+    """The polynomial terms f times the terms d; guard bits catch overflow."""
+    out: dict = {}
+    for mf, cf in f.items():
+        for t, c in d.items():
+            nt = mf + t
+            if nt & guards:
+                raise ExponentOverflowError(
+                    "product exponent exceeds the supported bound")
+            nc = (out.get(nt, 0) + cf * c) % p
+            if nc:
+                out[nt] = nc
+            else:
+                out.pop(nt, None)
+    return out
+
+
 class Polynomial:
     """Canonical sparse polynomial over F_p.
 
@@ -348,33 +387,12 @@ class Polynomial:
         return [(self.ring.unpack(m), self._d[m])
                 for m in sorted(self._d, key=key, reverse=True)]
 
-    def lead_monomial(self, order: Optional[MonomialOrder] = None):
-        if not self._d:
-            return None
-        key = self.ring.mono_key_fn(order)
-        return self.ring.unpack(max(self._d, key=key))
-
-    def lead_coeff(self, order: Optional[MonomialOrder] = None) -> int:
-        if not self._d:
-            return 0
-        key = self.ring.mono_key_fn(order)
-        return self._d[max(self._d, key=key)]
-
-    def min_degree(self) -> Optional[int]:
-        if not self._d:
-            return None
-        deg = self.ring.mono_deg
-        return min(deg(m) for m in self._d)
-
     def is_homogeneous(self) -> bool:
         if not self._d:
             return True
         deg = self.ring.mono_deg
         degrees = {deg(m) for m in self._d}
         return len(degrees) == 1
-
-    def coefficient(self, exponents: Sequence[int]) -> int:
-        return self._d.get(self.ring.pack(exponents), 0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -389,22 +407,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        p = self.ring.p
-        d = dict(self._d)
-        for m, c in other._d.items():
-            nc = (d.get(m, 0) + c) % p
-            if nc:
-                d[m] = nc
-            else:
-                d.pop(m, None)
-        return Polynomial(self.ring, d)
+        return Polynomial(self.ring, _add_terms(self._d, other._d, self.ring.p))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {m: p - c for m, c in self._d.items()})
+        return Polynomial(self.ring, _scale_terms(self._d, -1, self.ring.p))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -417,31 +426,14 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, int):
-            c = other % self.ring.p
-            if c == 0:
-                return self.ring.zero()
-            p = self.ring.p
-            return Polynomial(self.ring, {m: (v * c) % p
-                                          for m, v in self._d.items()})
+            return Polynomial(ring, _scale_terms(self._d, other, ring.p))
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        p = self.ring.p
-        guards = self.ring.guards
-        out: dict = {}
-        for ma, ca in self._d.items():
-            for mb, cb in other._d.items():
-                m = ma + mb
-                if m & guards:
-                    raise ExponentOverflowError(
-                        "product exponent exceeds the supported bound")
-                nc = (out.get(m, 0) + ca * cb) % p
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(ring, _mul_terms(self._d, other._d, ring.p,
+                                           ring.guards))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -490,10 +482,6 @@ class Polynomial:
             self._hash = hash((self.ring.p, self.ring.vars,
                                tuple(sorted(self._d.items()))))
         return self._hash
-
-    def key(self) -> tuple:
-        """Canonical hashable identity, used for caching."""
-        return tuple(sorted(self._d.items()))
 
     def __str__(self):
         if not self._d:
@@ -601,20 +589,12 @@ class FreeModuleElement:
         if not isinstance(other, FreeModuleElement):
             return NotImplemented
         self._check(other)
-        p = self.ring.p
-        d = dict(self._d)
-        for t, c in other._d.items():
-            nc = (d.get(t, 0) + c) % p
-            if nc:
-                d[t] = nc
-            else:
-                d.pop(t, None)
-        return FreeModuleElement(self.ring, self.rank, d)
+        return FreeModuleElement(self.ring, self.rank,
+                                 _add_terms(self._d, other._d, self.ring.p))
 
     def __neg__(self):
-        p = self.ring.p
         return FreeModuleElement(self.ring, self.rank,
-                                 {t: p - c for t, c in self._d.items()})
+                                 _scale_terms(self._d, -1, self.ring.p))
 
     def __sub__(self, other):
         if not isinstance(other, FreeModuleElement):
@@ -623,33 +603,16 @@ class FreeModuleElement:
 
     def __rmul__(self, other):
         """Left action of the ring: poly * element, or int * element."""
+        ring = self.ring
         if isinstance(other, int):
-            c = other % self.ring.p
-            if c == 0:
-                return FreeModuleElement(self.ring, self.rank, {})
-            p = self.ring.p
-            return FreeModuleElement(self.ring, self.rank,
-                                     {t: (v * c) % p
-                                      for t, v in self._d.items()})
-        if not isinstance(other, Polynomial):
+            d = _scale_terms(self._d, other, ring.p)
+        elif isinstance(other, Polynomial):
+            if not ring.compatible(other.ring):
+                raise RingMismatchError("scalar from a different ring")
+            d = _mul_terms(other._d, self._d, ring.p, ring.guards)
+        else:
             return NotImplemented
-        if not self.ring.compatible(other.ring):
-            raise RingMismatchError("scalar from a different ring")
-        p = self.ring.p
-        guards = self.ring.guards
-        out: dict = {}
-        for mf, cf in other._d.items():
-            for t, c in self._d.items():
-                nt = t + mf
-                if nt & guards:
-                    raise ExponentOverflowError(
-                        "product exponent exceeds the supported bound")
-                nc = (out.get(nt, 0) + cf * c) % p
-                if nc:
-                    out[nt] = nc
-                else:
-                    out.pop(nt, None)
-        return FreeModuleElement(self.ring, self.rank, out)
+        return FreeModuleElement(ring, self.rank, d)
 
     def __eq__(self, other):
         if not isinstance(other, FreeModuleElement):

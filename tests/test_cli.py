@@ -309,6 +309,21 @@ def test_verify_invalid_closed_form_base_is_a_command_error(tmp_path, form):
     assert report["error"]["message"].startswith("bad closed form: ")
 
 
+@pytest.mark.parametrize("form", ["7" * 5000 + " * 3^n",
+                                  "1 * " + "7" * 5000 + "^n"],
+                         ids=["coefficient", "base"])
+def test_verify_closed_form_past_the_digit_limit_is_a_command_error(
+        tmp_path, form):
+    # int() refuses more than 4300 digits with a bare ValueError
+    path = write(tmp_path, REGULAR)
+    report, code = run_command(
+        ["verify", path, "--module", "M", "--ideal", "I",
+         "--closed-form", form])
+    assert code == 1
+    assert report["error"]["kind"] == "command"
+    assert report["error"]["message"].startswith("bad closed form: ")
+
+
 def test_cmd_gb(tmp_path):
     path = write(tmp_path, REGULAR)
     report, code = run_command(["gb", path, "--ideal", "I"])
@@ -411,6 +426,37 @@ def test_fit_budget_stop_in_deltas_keeps_the_series(tmp_path):
     assert [e["e"] for e in results["series"]["entries"]] == ["1", "17", "97"]
     assert [e["delta"] for e in results["delta"]["entries"]] == ["1", "17"]
     assert report["diagnostics"]["budget"]["limit"] == 100
+
+
+STOPPED_SERIES = {
+    "module": "M", "ideal": "I", "entries": [{"n": 0, "q": 1, "e": "1"}],
+    "error": "computation budget exceeded in buchberger pairs: 6 > limit 5",
+    "failed_n": 1}
+
+
+def test_fit_and_verify_budget_stops_keep_the_series_payload(tmp_path):
+    path = write(tmp_path, QUARTIC)
+    for command in (["fit"], ["verify", "--closed-form", "known"]):
+        report, code = run_command(
+            command + [path, "--module", "M", "--ideal", "I", "--nmax", "2",
+                       "--budget-pairs", "5"])
+        assert code == 2
+        assert report["results"] == {"series": STOPPED_SERIES}
+        assert report["error"] == {"kind": "budget",
+                                   "message": STOPPED_SERIES["error"]}
+
+
+def test_budget_stop_before_the_first_entry_keeps_empty_results(tmp_path):
+    # nothing finished is still a partial result: [] and {"tor1": []}
+    path = write(tmp_path, QUARTIC)
+    for command, results in ((["series"], []), (["tor"], {"tor1": []})):
+        report, code = run_command(
+            command + [path, "--module", "M", "--ideal", "I", "--nmax", "2",
+                       "--budget-pairs", "0"])
+        assert code == 2
+        assert report["results"] == results
+        assert report["diagnostics"]["budget"] == {
+            "stage": "buchberger pairs", "limit": 0, "count": 1}
 
 
 def test_missing_file():

@@ -409,6 +409,39 @@ def test_syzygies_of_proportional_generators():
     assert gb.contains(v)
 
 
+def _rank2_vectors(R):
+    rows = [("x*y - z^2", "x"), ("x*y + y*z", "y^2"), ("x^2*y + y^3", "z"),
+            ("0", "x^2 - y*z"), ("0", "x^3 + z^3")]
+    return [FreeModuleElement.from_components(R, [R.parse(a), R.parse(b)])
+            for a, b in rows]
+
+
+def _assert_kills(syz, gens):
+    for s in syz:
+        combo = FreeModuleElement(gens[0].ring, gens[0].rank, {})
+        for i, g in enumerate(gens):
+            combo = combo + s.component(i) * g
+        assert combo.is_zero()
+
+
+def test_syzygies_of_four_rank2_vectors():
+    R = ring(5, "x", "y", "z")
+    gens = _rank2_vectors(R)[:4]
+    syz = syzygies(gens)
+    assert len(syz) == 4
+    _assert_kills(syz, gens)
+
+
+@pytest.mark.slow
+def test_syzygies_of_five_rank2_vectors():
+    # about 40 s, nearly all in the final Groebner run over the raw syzygies
+    R = ring(5, "x", "y", "z")
+    gens = _rank2_vectors(R)
+    syz = syzygies(gens)
+    assert len(syz) == 14
+    _assert_kills(syz, gens)
+
+
 # -- module Groebner bases ----------------------------------------------------------
 
 def test_module_buchberger_and_colength():

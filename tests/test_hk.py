@@ -11,6 +11,7 @@ from hilbertkunz import (Budget, FreeModuleElement, IdealHandle,
                          bracket_power, buchberger, check_m_primary, colength,
                          delta_n, en_cyclic, en_module, module_dimension,
                          module_rank, series, tor1_length)
+from hilbertkunz import PolyRing, RingMismatchError
 
 from oracles import box_staircase_count, module_dense_colength
 from hilbertkunz import syzygies
@@ -391,6 +392,31 @@ def test_tor_accepts_every_module_kind():
         assert tor1_length(ring, cyclic, I, n) == \
             tor1_length(ring, coker, I, n) == 3 ** n
         assert tor1_length(ring, ideal, I, n) == 1
+
+
+def test_polynomials_from_another_ring_are_rejected():
+    # these were repacked into R's ring: en_cyclic of 6x^2 + y^3 from
+    # F_7[x,y] gave 10 over F_5[x,y], and a^2 from F_5[a,b,c] gave 25
+    ring = RingPresentation(5, ["x", "y"])
+    I = maximal_ideal(ring)
+    for f in (PolyRing(7, ["x", "y"]).parse("6*x^2 + y^3"),
+              PolyRing(5, ["a", "b", "c"]).parse("a^2")):
+        with pytest.raises(RingMismatchError):
+            en_cyclic(ring, [f], I, 1)
+        with pytest.raises(RingMismatchError):
+            IdealHandle(ring, [f])
+        with pytest.raises(RingMismatchError):
+            ModulePresentation.cyclic(ring, [f])
+        column = FreeModuleElement.from_components(f.ring, [f])
+        with pytest.raises(RingMismatchError):
+            ModulePresentation.coker(ring, 1, [column])
+    # an equal ring built separately is the same ring
+    same = PolyRing(5, ["x", "y"])
+    f = same.parse("x^2")
+    assert en_cyclic(ring, [f], I, 1) == en_cyclic(ring, ["x^2"], I, 1) == 10
+    column = FreeModuleElement.from_components(same, [f])
+    assert en_module(ring, ModulePresentation.coker(ring, 1, [column]),
+                     I, 1) == 10
 
 
 def test_tor_growth_on_quartic_hypersurface_section():

@@ -7,6 +7,7 @@ from hilbertkunz import (DEGLEX, GREVLEX, LEX, EXP_LIMIT,
                          ExponentOverflowError, FreeModuleElement, ParseError,
                          PolyRing, RingMismatchError, get_order, is_prime,
                          poly_power)
+from hilbertkunz.poly import as_vector
 
 
 def ring2():
@@ -219,6 +220,21 @@ def test_ring_axioms(data):
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
     assert (f + (-f)).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_and_polys(count=2), st.integers(-7, 7))
+def test_vector_arithmetic_matches_polynomial_arithmetic(data, c):
+    ring, f, g = data
+    vf, vg = as_vector(f), as_vector(g)
+    assert as_vector(f + g) == vf + vg
+    assert as_vector(f - g) == vf - vg
+    assert as_vector(-f) == -vf
+    assert as_vector(c * f) == c * vf
+    assert as_vector(f * g) == f * vg
+    # the position bits ride along unchanged
+    assert f * FreeModuleElement.basis_vector(ring, 2, 1, g) == \
+        FreeModuleElement.basis_vector(ring, 2, 1, f * g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -189,6 +189,10 @@ def fit_two_point(series, d: int, p: int, n_lo: Optional[int] = None,
     singular for distinct positive q.  Residuals, the error constant and
     the per-window estimate trail are reported over the whole series so
     slow convergence stays visible.
+
+    .. deprecated:: 0.1.0
+       The p parameter is unused: q is read from each entry.  It stays
+       positional for now and will be removed in a later release.
     """
     entries = _entries(series)
     if len(entries) < 2:
@@ -270,7 +274,12 @@ class DeltaTrend:
 
 
 def tau_from_delta(delta_series, d: int, p: int) -> DeltaTrend:
-    """Normalize a delta series by q^{d-1} and expose its convergence."""
+    """Normalize a delta series by q^{d-1} and expose its convergence.
+
+    .. deprecated:: 0.1.0
+       The p parameter is unused: q is read from each entry.  It stays
+       positional for now and will be removed in a later release.
+    """
     entries = _entries(delta_series)
     seq = [(n, Fraction(v, q ** (d - 1))) for n, q, v in entries]
     diffs = tuple((seq[i + 1][0], seq[i + 1][1] - seq[i][1])
@@ -287,6 +296,12 @@ class GammaEstimate:
 
 
 def gamma_estimate(tor_series, d: int, p: int) -> GammaEstimate:
+    """Normalize Tor_1 lengths by q^{d-1} and expose the trend.
+
+    .. deprecated:: 0.1.0
+       The p parameter is unused: q is read from each entry.  It stays
+       positional for now and will be removed in a later release.
+    """
     entries = _entries(tor_series)
     seq = [(n, Fraction(v, q ** (d - 1))) for n, q, v in entries]
     return GammaEstimate(float(seq[-1][1]), seq[-1][1], tuple(seq))

@@ -273,11 +273,22 @@ def _lookup(table: dict, name: Optional[str], kind: str):
             f"unknown {kind} {name!r}; declared: {sorted(table)}") from None
 
 
-def _inputs(problem: ProblemFile, args) -> tuple:
-    """The --module and the m-primary --ideal that a command reads."""
+def _inputs(problem: ProblemFile, args, partial) -> tuple:
+    """The --module and the m-primary --ideal that a command reads.
+
+    A stop in the m-primary check is a stop before e_0: it raises with
+    exc.partial = partial(s) for the series s stopped at n = 0.
+    """
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
     module = _lookup(problem.modules, args.module, "module")
-    if not check_m_primary(ideal):
+    try:
+        primary = check_m_primary(ideal)
+    except BudgetExceededError as exc:
+        exc.partial = partial(HKSeries(args.module, args.ideal, (),
+                                       error=str(exc), failed_n=0,
+                                       budget=exc.diagnostics()))
+        raise
+    if not primary:
         raise _CommandError(
             f"ideal {args.ideal!r} is not m-primary: the quotient has "
             "infinite length")
@@ -316,12 +327,13 @@ def _cmd_check(problem: ProblemFile, args) -> dict:
 
 def _cmd_series(problem: ProblemFile, args):
     # the series results payload is the plain entry list
-    s = _series(problem, args, *_inputs(problem, args), _series_entries)
+    s = _series(problem, args, *_inputs(problem, args, _series_entries),
+                _series_entries)
     return _series_entries(s)
 
 
 def _cmd_fit(problem: ProblemFile, args) -> dict:
-    module, ideal = _inputs(problem, args)
+    module, ideal = _inputs(problem, args, _series_section)
     s = _series(problem, args, module, ideal, _series_section)
     d = args.d if args.d is not None else problem.ring.dimension
     fit = fit_two_point(s, d, problem.ring.p)
@@ -364,7 +376,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
 
 
 def _cmd_verify(problem: ProblemFile, args) -> dict:
-    module, ideal = _inputs(problem, args)
+    module, ideal = _inputs(problem, args, _series_section)
     if args.closed_form is None:
         raise _CommandError("missing --closed-form argument")
     cf = problem.closed_forms.get(args.closed_form)
@@ -386,7 +398,7 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
 
 
 def _cmd_tor(problem: ProblemFile, args) -> dict:
-    module, ideal = _inputs(problem, args)
+    module, ideal = _inputs(problem, args, lambda s: {"tor1": []})
     entries = []
     rows = []
     for n in range(args.nmax + 1):
@@ -509,6 +521,8 @@ def _run(argv: List[str]) -> tuple:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             problem = parse_problem(text)
+            # every Groebner run of the command, Q and Q + I included
+            problem.ring.budget = args.budget_obj
             report["ring"] = {
                 "p": problem.ring.p,
                 "vars": list(problem.ring.vars),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (ExponentOverflowError, FreeModuleElement, MonomialOrder,
                    PolyRing, Polynomial, RingMismatchError, as_vector)
@@ -161,24 +161,37 @@ class Staircase:
 
 
 class GroebnerBasis:
-    """Autoreduced (reduced) Groebner basis with cached leading terms."""
+    """Reduced Groebner basis with cached leading terms.
 
-    __slots__ = ("ring", "rank", "order", "elements", "_lts", "_staircase",
-                 "_reducer_cache")
+    Lengths, dimensions and lead tests read only the leads.  The reduced
+    elements are built by the run's deferred tail reduction on the first
+    read of elements, and cached.
+    """
+
+    __slots__ = ("ring", "rank", "order", "_elements", "_build", "_lts",
+                 "_staircase", "_reducer_cache")
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 elements: Sequence[FreeModuleElement],
-                 lead_terms: Sequence[int]):
+                 lead_terms: Sequence[int],
+                 build: Callable[[], Sequence[FreeModuleElement]]):
         self.ring = ring
         self.rank = rank
         self.order = order
-        self.elements = tuple(elements)
         self._lts = tuple(lead_terms)
+        self._build = build           # the elements, in lead_terms order
+        self._elements: Optional[tuple] = None
         self._staircase: Optional[Staircase] = None
         self._reducer_cache = None
 
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(self._build())
+            self._build = None        # releases the run's engine
+        return self._elements
+
     def __len__(self):
-        return len(self.elements)
+        return len(self._lts)
 
     def __iter__(self):
         return iter(self.elements)
@@ -226,7 +239,7 @@ class GroebnerBasis:
                             ring.mono_divides(lt & mask, t & mask):
                         return False
         eng = self._reducer()
-        for i in range(len(self.elements)):
+        for i in range(len(self)):
             for j in range(i):
                 if (self._lts[i] >> bits) != (self._lts[j] >> bits):
                     continue
@@ -236,12 +249,20 @@ class GroebnerBasis:
 
     def __repr__(self):
         kind = "ideal" if self.rank == 1 else f"submodule of P^{self.rank}"
-        return (f"GroebnerBasis({kind}, {len(self.elements)} elements, "
+        return (f"GroebnerBasis({kind}, {len(self)} elements, "
                 f"order={self.order.name})")
 
 
 class _Engine:
-    """Shared machinery for Buchberger runs and normal-form reduction."""
+    """Shared machinery for Buchberger runs and normal-form reduction.
+
+    Element k is stored once: its lead is lts[k] with coefficient 1 (every
+    element is monic), and basis[k] is the flat tuple (term, coeff, key,
+    term, coeff, key, ...) of its other terms, each with its term key.
+    Term keys add under monomial shifts, key(t + u) = key(t) + key(u) -
+    key(1), so a shifted term's key is its stored key plus an offset per
+    reduction step and the kernel calls no key function.
+    """
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
                  budget: Budget, track: bool = False):
@@ -255,8 +276,9 @@ class _Engine:
         self.guards = ring.guards
         self.keyf = ring.term_key_fn(order, rank)
         self.monokeyf = ring.mono_key_fn(order)
-        self.basis: List[dict] = []
+        self.basis: List[tuple] = []      # keyed tails, see the class doc
         self.lts: List[int] = []          # packed lead terms (pos | mono)
+        self.ltkeys: List[int] = []       # term keys of the leads
         self.ltmonos: List[int] = []
         self.one_pos: List[bool] = []     # supported on a single position
         # live (not superseded) elements per position, in insertion order;
@@ -285,6 +307,11 @@ class _Engine:
                 return k
         return -1
 
+    def tail_terms(self, k: int):
+        """(term, coeff) pairs of the non-lead terms of element k."""
+        tail = self.basis[k]
+        return zip(tail[0::3], tail[1::3])
+
     def reduce(self, work: dict, rep: Optional[dict] = None) -> dict:
         """Divide work by the basis; returns the full remainder.
 
@@ -295,15 +322,18 @@ class _Engine:
             return work
         p = self.p
         guards = self.guards
-        keyf = self.keyf
         find = self.find_reducer
+        lts = self.lts
+        ltkeys = self.ltkeys
+        basis = self.basis
         out: dict = {}
-        heap = [(-keyf(t), t) for t in work]
+        # the heap holds negated term keys, so the largest term pops first
+        heap = [(-k, t) for t, k in zip(work, map(self.keyf, work))]
         heapq.heapify(heap)
         pop = heapq.heappop
         push = heapq.heappush
         while heap:
-            t = pop(heap)[1]
+            nk, t = pop(heap)
             c = work.pop(t, 0)
             if not c:
                 continue
@@ -311,18 +341,17 @@ class _Engine:
             if k < 0:
                 out[t] = c
                 continue
-            u = t - self.lts[k]           # pure monomial shift
-            lt = self.lts[k]
-            for tg, cg in self.basis[k].items():
-                if tg == lt:
-                    continue
+            u = t - lts[k]                # pure monomial shift
+            off = nk + ltkeys[k]          # heap key of tg + u is off - kg
+            it = iter(basis[k])
+            for tg, cg, kg in zip(it, it, it):
                 tt = tg + u
                 if tt & guards:
                     _raise_overflow()
                 nc = (work.get(tt, 0) - c * cg) % p
                 if nc:
                     if tt not in work:
-                        push(heap, (-keyf(tt), tt))
+                        push(heap, (off - kg, tt))
                     work[tt] = nc
                 else:
                     work.pop(tt, None)
@@ -342,7 +371,8 @@ class _Engine:
 
     def add(self, vec: dict, rep: Optional[dict] = None) -> int:
         """Normalize monic, append, and index as a reducer."""
-        lt = max(vec, key=self.keyf)
+        keys = dict(zip(vec, map(self.keyf, vec)))
+        lt = max(keys, key=keys.__getitem__)
         lc = vec[lt]
         if lc != 1:
             inv = pow(lc, self.p - 2, self.p)
@@ -355,11 +385,12 @@ class _Engine:
             raise BudgetExceededError("buchberger basis",
                                       self.budget.max_basis, idx + 1)
         pos = lt >> self.bits
-        self.basis.append(vec)
+        self.basis.append(tuple(x for t, c in vec.items() if t != lt
+                                for x in (t, c, keys[t])))
         self.lts.append(lt)
+        self.ltkeys.append(keys[lt])
         self.ltmonos.append(lt & self.mask)
-        positions = {t >> self.bits for t in vec}
-        self.one_pos.append(len(positions) == 1)
+        self.one_pos.append(all(t >> self.bits == pos for t in vec))
         if self.track:
             self.reps.append(rep if rep is not None else {})
         bucket = self.mono_by_pos if len(vec) == 1 else self.gen_by_pos
@@ -386,7 +417,7 @@ class _Engine:
         active.remove(t)
         # candidate pairs against the live same-position elements; the
         # S-vector of two single terms is literally zero
-        partners = gens if len(self.basis[t]) == 1 else active
+        partners = gens if not self.basis[t] else active
         groups: dict = {}
         for i in partners:
             groups.setdefault(ring.mono_lcm(self.ltmonos[i], mono_t),
@@ -416,7 +447,7 @@ class _Engine:
         # retire superseded elements from pair formation and reduction
         for i in active:
             if divides(mono_t, self.ltmonos[i]):
-                (monos if len(self.basis[i]) == 1 else gens).remove(i)
+                (monos if not self.basis[i] else gens).remove(i)
 
     def spair(self, i: int, j: int, lcm: Optional[int] = None,
               reps: bool = False) -> dict:
@@ -427,18 +458,21 @@ class _Engine:
         """
         if lcm is None:
             lcm = self.ring.mono_lcm(self.ltmonos[i], self.ltmonos[j])
-        rows = self.reps if reps else self.basis
+        if reps:
+            terms_i, terms_j = self.reps[i].items(), self.reps[j].items()
+        else:                         # the shifted leads cancel
+            terms_i, terms_j = self.tail_terms(i), self.tail_terms(j)
         p = self.p
         guards = self.guards
         ui = lcm - self.ltmonos[i]
         uj = lcm - self.ltmonos[j]
         vec: dict = {}
-        for t, c in rows[i].items():
+        for t, c in terms_i:
             tt = t + ui
             if tt & guards:
                 _raise_overflow()
             vec[tt] = c
-        for t, c in rows[j].items():
+        for t, c in terms_j:
             tt = t + uj
             if tt & guards:
                 _raise_overflow()
@@ -470,7 +504,7 @@ class _Engine:
     # -- canonical output ---------------------------------------------------------
 
     def finalize(self) -> GroebnerBasis:
-        """Minimalize and tail-reduce into the unique reduced basis."""
+        """The reduced basis: its minimal leads now, its tails on demand."""
         first: dict = {}                  # lead -> its lowest basis index
         for k, lt in enumerate(self.lts):
             first.setdefault(lt, k)
@@ -480,18 +514,20 @@ class _Engine:
                            for pos, monos in stairs._by_pos.items()
                            for m in monos), key=self.keyf)
         kept = [first[lt] for lt in kept_lts]
-        # the live elements form a Groebner basis, and normal forms modulo
-        # a Groebner basis do not depend on which basis reduces them, so
-        # reducing each kept tail once yields the reduced basis
-        elements = []
-        for k, lt in zip(kept, kept_lts):
-            vec = dict(self.basis[k])
-            c = vec.pop(lt)
-            tail = self.reduce(vec)
-            tail[lt] = c
-            elements.append(FreeModuleElement(self.ring, self.rank, tail))
-        return GroebnerBasis(self.ring, self.rank, self.order, elements,
-                             kept_lts)
+
+        def reduced_elements() -> list:
+            # the live elements form a Groebner basis, and normal forms
+            # modulo a Groebner basis do not depend on which basis reduces
+            # them, so reducing each kept tail once yields the reduced basis
+            elements = []
+            for k, lt in zip(kept, kept_lts):
+                tail = self.reduce(dict(self.tail_terms(k)))
+                tail[lt] = 1
+                elements.append(FreeModuleElement(self.ring, self.rank, tail))
+            return elements
+
+        return GroebnerBasis(self.ring, self.rank, self.order, kept_lts,
+                             reduced_elements)
 
 
 def _normalize_gens(gens, ring: Optional[PolyRing], rank: Optional[int]):
@@ -703,7 +739,7 @@ def matrix_rank_over_domain(matrix,
     def nonzero(f: Polynomial) -> bool:
         if f.is_zero():
             return False
-        if quotient_gb is None or not quotient_gb.elements:
+        if quotient_gb is None or not len(quotient_gb):
             return True
         return not quotient_gb.contains(f)
 

@@ -70,8 +70,12 @@ class MonomialOrder:
     """One of the three supported monomial orders.
 
     All orders are encoded as integer sort keys, so that key(a) < key(b)
-    exactly when a < b in the order.  Every key map is injective, total,
-    multiplicative and has the empty monomial as minimum.
+    exactly when a < b in the order.  Every key map is injective, total
+    and has the empty monomial as minimum.  Keys add under monomial
+    shifts: key(a * u) = key(a) + key(u) - key(1) whenever a * u stays
+    below the exponent cap, for monomial keys and for the term keys of
+    PolyRing.term_key_fn alike.  The Groebner engine relies on this to
+    key shifted terms without calling the key map.
     """
 
     __slots__ = ("name",)
@@ -685,7 +689,12 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append((_TOK_INT, int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:          # past the int() digit limit
+                raise ParseError("integer has too many digits",
+                                 col=i + 1) from None
+            tokens.append((_TOK_INT, value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

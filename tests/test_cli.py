@@ -447,9 +447,16 @@ def test_fit_and_verify_budget_stops_keep_the_series_payload(tmp_path):
 
 
 def test_budget_stop_before_the_first_entry_keeps_empty_results(tmp_path):
-    # nothing finished is still a partial result: [] and {"tor1": []}
+    # nothing finished is still a partial result: [] and {"tor1": []}, and
+    # for fit and verify the series stopped before e_0
     path = write(tmp_path, QUARTIC)
-    for command, results in ((["series"], []), (["tor"], {"tor1": []})):
+    stopped = {"series": {
+        "module": "M", "ideal": "I", "entries": [], "failed_n": 0,
+        "error": "computation budget exceeded in buchberger pairs: "
+                 "1 > limit 0"}}
+    for command, results in ((["series"], []), (["tor"], {"tor1": []}),
+                             (["fit"], stopped),
+                             (["verify", "--closed-form", "known"], stopped)):
         report, code = run_command(
             command + [path, "--module", "M", "--ideal", "I", "--nmax", "2",
                        "--budget-pairs", "0"])
@@ -457,6 +464,23 @@ def test_budget_stop_before_the_first_entry_keeps_empty_results(tmp_path):
         assert report["results"] == results
         assert report["diagnostics"]["budget"] == {
             "stage": "buchberger pairs", "limit": 0, "count": 1}
+
+
+@pytest.mark.parametrize("command", [["check", "--ideal", "m"], ["gb"],
+                                     ["gb", "--ideal", "m"]])
+def test_check_and_gb_runs_obey_the_pair_budget(command):
+    # the runs of Q and of Q + I take the command's budget, not the ring's
+    path = str(REPO / "problems/determinantal.hk")
+    report, code = run_command(command[:1] + [path] + command[1:]
+                               + ["--budget-pairs", "0"])
+    assert code == 2
+    assert report["error"] == {
+        "kind": "budget",
+        "message": "computation budget exceeded in buchberger pairs: "
+                   "1 > limit 0"}
+    assert report["diagnostics"]["budget"] == {
+        "stage": "buchberger pairs", "limit": 0, "count": 1}
+    assert report["results"] == {}
 
 
 def test_missing_file():

@@ -10,6 +10,7 @@ from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
                          buchberger, cokernel_dimension, colength,
                          krull_dimension, matrix_rank_over_domain,
                          monomial_ideal_colength, normal_form, syzygies)
+from hilbertkunz import groebner
 from hilbertkunz.groebner import _minimal
 from hilbertkunz.poly import as_vector
 
@@ -142,6 +143,45 @@ def test_equal_and_dividing_input_leads(build):
             for i, g in enumerate(order):
                 combo = combo + s.component(i) * as_vector(g)
             assert combo.is_zero()
+
+
+# the reduced bases of the first two builders, taken from the eager
+# tail reduction that finalize ran before elements were built on demand
+EAGER_BASES = {
+    _equal_and_dividing_ideal: [
+        "y*z + z^2", "x*y + 4*z^2", "x*z^2 + z^3", "y^3 + 3*z^3", "z^4"],
+    _equal_and_dividing_submodule: [
+        "(0, x + 4*y)", "(0, y*z + z^2)", "(0, y^2 + z^2)", "(0, z^3)",
+        "(y*z + z^2, 0)", "(x*y + 4*z^2, y)", "(z^3, 4*z)",
+        "(x*z^2, z^2 + z)"],
+}
+
+
+@pytest.mark.parametrize("build", list(EAGER_BASES))
+def test_length_runs_build_no_reduced_basis(build, monkeypatch):
+    R = ring(5, "x", "y", "z")
+    gens = build(R)
+    rank = gens[0].rank if isinstance(gens[0], FreeModuleElement) else 1
+    gb = buchberger(gens, ring=R, rank=rank)
+    calls = []
+    reduce = groebner._Engine.reduce
+
+    def counting(self, work, rep=None):
+        calls.append(len(work))
+        return reduce(self, work, rep)
+
+    monkeypatch.setattr(groebner._Engine, "reduce", counting)
+    assert colength(gb) is INFINITE
+    assert len(gb) == len(EAGER_BASES[build])
+    assert len(gb.lead_terms()) == len(gb)
+    assert not gb.contains_one()
+    assert calls == []
+    elements = gb.elements
+    assert calls                      # the first read runs the reduction
+    assert [str(g) for g in elements] == EAGER_BASES[build]
+    done = len(calls)
+    assert gb.elements is elements
+    assert len(calls) == done
 
 
 def test_minimal_matches_brute_force():

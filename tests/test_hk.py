@@ -11,7 +11,7 @@ from hilbertkunz import (Budget, FreeModuleElement, IdealHandle,
                          bracket_power, buchberger, check_m_primary, colength,
                          delta_n, en_cyclic, en_module, module_dimension,
                          module_rank, series, tor1_length)
-from hilbertkunz import PolyRing, RingMismatchError
+from hilbertkunz import ParseError, PolyRing, RingMismatchError
 
 from oracles import box_staircase_count, module_dense_colength
 from hilbertkunz import syzygies
@@ -95,6 +95,14 @@ def test_m_primary_maximal_ideal():
 def test_not_m_primary():
     ring = regular_ring(5, 2)
     assert not check_m_primary(IdealHandle(ring, ["x1"]))
+
+
+def test_long_integer_in_a_generator_is_a_parse_error():
+    ring = determinantal_ring()
+    with pytest.raises(ParseError) as err:
+        IdealHandle(ring, ["7" * 5000 + "*x1"])
+    assert err.value.message == "integer has too many digits"
+    assert err.value.col == 1
 
 
 def test_en_raises_on_non_primary():

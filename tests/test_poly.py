@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hilbertkunz import (DEGLEX, GREVLEX, LEX, EXP_LIMIT,
                          ExponentOverflowError, FreeModuleElement, ParseError,
                          PolyRing, RingMismatchError, get_order, is_prime,
-                         poly_power)
+                         parse_poly, poly_power)
 from hilbertkunz.poly import as_vector
 
 
@@ -153,6 +153,17 @@ def test_parse_unknown_variable():
     assert err.value.col == 4
 
 
+def test_parse_integer_past_the_digit_limit_is_a_parse_error():
+    # int() refuses more than 4300 digits with a bare ValueError
+    R = ring5()
+    for text, col in (("7" * 5000 + "*x", 1), ("x^" + "7" * 5000, 3),
+                      ("y + " + "1" * 5000, 5)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, R)
+        assert err.value.message == "integer has too many digits"
+        assert err.value.col == col
+
+
 def test_parse_errors_carry_position():
     R = ring5()
     with pytest.raises(ParseError) as err:
@@ -271,6 +282,29 @@ def test_order_axioms(data, order):
     # 1 is the minimum
     for a in monos:
         assert key(0) <= key(a)
+
+
+@st.composite
+def _term_and_shift(draw):
+    nvars = draw(st.integers(1, 4))
+    ring = PolyRing(5, [f"x{i}" for i in range(nvars)])
+    rank = draw(st.integers(1, 3))
+    exps = [draw(st.integers(0, EXP_LIMIT - 1)) for _ in range(nvars)]
+    shift = [draw(st.integers(0, EXP_LIMIT - 1 - e)) for e in exps]
+    pos = draw(st.integers(0, rank - 1))
+    term = pos << ring.mono_bits | ring.pack(exps)
+    return ring, rank, term, ring.pack(shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_and_shift(), st.sampled_from([GREVLEX, LEX, DEGLEX]))
+def test_term_keys_add_under_monomial_shifts(data, order):
+    # the reduction kernel keys a shifted term as its stored key plus an
+    # offset: key(t + u) = key(t) + key(u) - key(1)
+    ring, rank, t, u = data
+    key = ring.term_key_fn(order, rank)
+    monokey = ring.mono_key_fn(order)
+    assert key(t + u) == key(t) + monokey(u) - monokey(0)
 
 
 # -- explicit order comparisons --------------------------------------------------------

@@ -22,8 +22,7 @@ from .poly import (DEGLEX, EXP_LIMIT, GREVLEX, LEX, ExponentOverflowError,
 from .groebner import (Budget, BudgetExceededError, GroebnerBasis, INFINITE,
                        Staircase, buchberger, cokernel_dimension, colength,
                        krull_dimension, matrix_rank_over_domain,
-                       maximal_minors, monomial_ideal_colength, normal_form,
-                       syzygies)
+                       monomial_ideal_colength, normal_form, syzygies)
 from .hk import (BracketPower, HKSeries, IdealHandle, InfiniteColengthError,
                  ModuleDimension, ModulePresentation,
                  NonHomogeneousInputWarning, RingPresentation, bracket_power,
@@ -46,8 +45,8 @@ __all__ = [
     # groebner
     "Budget", "BudgetExceededError", "GroebnerBasis", "INFINITE", "Staircase",
     "buchberger", "cokernel_dimension", "colength", "krull_dimension",
-    "matrix_rank_over_domain", "maximal_minors", "monomial_ideal_colength",
-    "normal_form", "syzygies",
+    "matrix_rank_over_domain", "monomial_ideal_colength", "normal_form",
+    "syzygies",
     # hk
     "BracketPower", "HKSeries", "IdealHandle", "InfiniteColengthError",
     "ModuleDimension", "ModulePresentation", "NonHomogeneousInputWarning",

@@ -11,6 +11,7 @@ for the O(q^{d-2}) tails.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -61,20 +62,21 @@ class ClosedForm:
         return " ".join(parts)
 
 
+_TERM_RE = re.compile(
+    r"\s*(?P<sign>[+-])?\s*(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*"
+    r"\*\s*(?P<base>\d+)\s*\^\s*n")
+
+
 def parse_closed_form(text: str) -> ClosedForm:
     """Parse "168/61 * 125^n - 107/61 * 3^n" style expressions exactly."""
-    import re
     s = text.replace("−", "-").strip()
     if not s:
         raise ParseError("empty closed form")
-    term_re = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?P<num>\d+)\s*(?:/\s*(?P<den>\d+))?\s*"
-        r"\*\s*(?P<base>\d+)\s*\^\s*n")
     pos = 0
     terms = []
     first = True
     while pos < len(s):
-        m = term_re.match(s, pos)
+        m = _TERM_RE.match(s, pos)
         if not m:
             raise ParseError(f"cannot parse closed form near {s[pos:pos+20]!r}",
                              col=pos + 1)
@@ -260,6 +262,11 @@ def tau_from_recurrence(series, d: int, p: int,
                        tuple(seq))
 
 
+def _normalized(series, d: int) -> List[Tuple[int, Fraction]]:
+    """(n, value / q^{d-1}) for each entry, exactly."""
+    return [(n, Fraction(v, q ** (d - 1))) for n, q, v in _entries(series)]
+
+
 @dataclass(frozen=True)
 class DeltaTrend:
     """v_n = delta_n / q^{d-1} with successive differences.
@@ -280,8 +287,7 @@ def tau_from_delta(delta_series, d: int, p: int) -> DeltaTrend:
        The p parameter is unused: q is read from each entry.  It stays
        positional for now and will be removed in a later release.
     """
-    entries = _entries(delta_series)
-    seq = [(n, Fraction(v, q ** (d - 1))) for n, q, v in entries]
+    seq = _normalized(delta_series, d)
     diffs = tuple((seq[i + 1][0], seq[i + 1][1] - seq[i][1])
                   for i in range(len(seq) - 1))
     return DeltaTrend(float(seq[-1][1]), seq[-1][1], tuple(seq), diffs)
@@ -302,8 +308,7 @@ def gamma_estimate(tor_series, d: int, p: int) -> GammaEstimate:
        The p parameter is unused: q is read from each entry.  It stays
        positional for now and will be removed in a later release.
     """
-    entries = _entries(tor_series)
-    seq = [(n, Fraction(v, q ** (d - 1))) for n, q, v in entries]
+    seq = _normalized(tor_series, d)
     return GammaEstimate(float(seq[-1][1]), seq[-1][1], tuple(seq))
 
 

@@ -3,8 +3,8 @@
 Computes reduced Groebner bases (unique for a given submodule and order),
 normal forms, colengths counted through the staircase of leading terms,
 syzygy modules via representation tracking through the Buchberger run,
-Krull dimension by the independent-set method, and ranks/dimensions of
-matrices and cokernels through minors.
+Krull dimensions of quotients and cokernels by the independent-set
+method on the same staircase, and matrix ranks through minors.
 
 Quotient-ring questions are handled by the callers: computations for
 R = P/Q adjoin the defining generators (times each free-module basis
@@ -158,6 +158,33 @@ class Staircase:
                 return INFINITE           # some variable has no pure power
             total += _count_standard(gens, self.ring.guards, memo)
         return total
+
+    def dimension(self) -> int:
+        """Krull dimension of P^rank / submodule, by independent sets.
+
+        A position's dimension is the largest size of a variable set S
+        such that no minimal lead there involves only variables from S (a
+        lead's support is its nonzero 16-bit fields); sizes are tried
+        largest first.  A position without leads is free, one holding the
+        unit contributes nothing, and the result is the maximum.
+        """
+        nv = self.ring.nvars
+        best = 0
+        for pos in range(self.rank):
+            gens = self._by_pos.get(pos, ())
+            if not gens:
+                return nv
+            if gens[0] == 0:
+                continue                  # the unit: nothing lies outside
+            supports = {sum(1 << i for i in range(nv) if g >> 16 * i & 0xFFFF)
+                        for g in gens}
+            for size in range(nv, best, -1):
+                if any(all(s & ~free for s in supports)
+                       for free in (sum(1 << i for i in c)
+                                    for c in combinations(range(nv), size))):
+                    best = size
+                    break
+        return best
 
 
 class GroebnerBasis:
@@ -600,29 +627,14 @@ def colength(gb: GroebnerBasis):
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
-    """dim P/A by the independent-set method on the leading-term ideal.
+    """dim P^rank / A by the independent-set method on the leading terms.
 
-    The dimension is the largest size of a variable subset S such that no
-    leading monomial involves only variables from S.  For the unit ideal
-    this returns 0; callers needing the empty variety distinguished check
-    contains_one().
+    Works for ideals and submodules alike: a module has the dimension of
+    its leading-term module, the maximum over positions.  For the unit
+    ideal this returns 0; callers needing the empty variety distinguished
+    check contains_one().
     """
-    if gb.rank != 1:
-        raise ValueError("krull_dimension expects an ideal basis (rank 1)")
-    nv = gb.ring.nvars
-    supports = set()
-    for _, exps in gb.lead_terms():
-        supports.add(frozenset(i for i, e in enumerate(exps) if e))
-    if not supports:
-        return nv
-    if frozenset() in supports:
-        return 0
-    for size in range(nv, -1, -1):
-        for S in combinations(range(nv), size):
-            Sset = frozenset(S)
-            if not any(supp <= Sset for supp in supports):
-                return size
-    return 0
+    return gb.staircase().dimension()
 
 
 # -- syzygies ---------------------------------------------------------------------
@@ -639,16 +651,15 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
     basis of that module, so it is canonical as well as complete.
     """
     budget = budget or DEFAULT_BUDGET
-    vecs = [as_vector(g) for g in gens]
-    m = len(vecs)
-    if m == 0:
+    if not gens:
         return []
+    vecs, gens_ring, rank = _normalize_gens(gens, None, None)
+    # an explicit ring is kept: its order is the engine's order
     if ring is None:
-        ring = vecs[0].ring
-    rank = vecs[0].rank
-    for v in vecs:
-        if not v.ring.compatible(ring) or v.rank != rank:
-            raise RingMismatchError("generators must share ring and rank")
+        ring = gens_ring
+    elif not ring.compatible(gens_ring):
+        raise RingMismatchError("generators must share ring and rank")
+    m = len(vecs)
     bits = ring.mono_bits
     raw: List[dict] = []
     eng = _Engine(ring, rank, ring.order, budget, track=True)
@@ -753,25 +764,6 @@ def matrix_rank_over_domain(matrix,
     return 0
 
 
-def maximal_minors(matrix, *, budget: Optional[Budget] = None) -> list:
-    """All s x s minors of an s x m matrix (s = number of rows)."""
-    budget = budget or DEFAULT_BUDGET
-    rows, ring = _as_matrix(matrix)
-    s, m = len(rows), len(rows[0])
-    if m < s:
-        return []
-    memo: dict = {}
-    counter = [0]
-    out = []
-    allrows = tuple(range(s))
-    for csub in combinations(range(m), s):
-        det = _minor_determinant(rows, allrows, csub, ring, memo, counter,
-                                 budget)
-        if not det.is_zero():
-            out.append(det)
-    return out
-
-
 def cokernel_dimension(columns: Sequence[FreeModuleElement],
                        ambient_rank: int,
                        quotient_gens: Sequence[Polynomial],
@@ -780,26 +772,17 @@ def cokernel_dimension(columns: Sequence[FreeModuleElement],
                        budget: Optional[Budget] = None) -> Tuple[int, bool]:
     """(dim, is_zero_module) for coker of the columns inside (P/Q)^rank.
 
-    Uses Supp M = V(Fitt_0): the presentation matrix over P is the given
-    columns augmented by the quotient generators times each basis vector,
-    and the dimension is that of the maximal-minor ideal plus Q.  The zero
-    module is reported as dimension 0 with the flag set.
+    One Groebner basis in P^rank of the columns plus the quotient
+    generators times each basis vector; the dimension is its staircase's,
+    and the module is zero exactly when every position holds the unit.
+    The zero module is reported as dimension 0 with the flag set.
     """
-    budget = budget or DEFAULT_BUDGET
     if ambient_rank == 0:
         return 0, True
-    matrix = [[col.component(i) for col in columns]
-              for i in range(ambient_rank)]
-    for qg in quotient_gens:
-        for i in range(ambient_rank):
-            for r in range(ambient_rank):
-                matrix[r].append(qg if r == i else ring.zero())
-    if not matrix[0]:
-        fitt: list = []
-    else:
-        fitt = maximal_minors(matrix, budget=budget)
-    gb = buchberger(list(fitt) + list(quotient_gens), order, ring=ring,
-                    budget=budget)
-    if gb.contains_one():
-        return 0, True
-    return krull_dimension(gb), False
+    relations = list(columns) + [
+        FreeModuleElement.basis_vector(ring, ambient_rank, i, qg)
+        for qg in quotient_gens for i in range(ambient_rank)]
+    stairs = buchberger(relations, order, ring=ring, rank=ambient_rank,
+                        budget=budget).staircase()
+    units = sum(not any(exps) for _, exps in stairs.minimal_generators())
+    return stairs.dimension(), units == ambient_rank

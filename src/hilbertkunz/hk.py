@@ -479,10 +479,12 @@ class ModuleDimension:
 
 def module_dimension(ring: RingPresentation, module: ModulePresentation, *,
                      budget: Optional[Budget] = None) -> ModuleDimension:
-    """Krull dimension of the module's support, via Fitting ideals.
+    """Krull dimension of the module's support, from one staircase.
 
-    The zero module is reported as dimension 0 with the flag set rather
-    than a signed sentinel.
+    The leading terms of its cokernel relations plus the defining
+    generators times each basis vector give the dimension.  The zero
+    module is reported as dimension 0 with the flag set rather than a
+    signed sentinel.
     """
     s, columns = _cokernel(ring, module, budget)
     dim, zero = cokernel_dimension(list(columns), s, ring.quotient, ring.ring,

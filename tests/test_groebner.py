@@ -390,6 +390,22 @@ def test_dimension_artinian_is_zero():
     assert krull_dimension(buchberger([R.parse("x"), R.parse("y^2")])) == 0
 
 
+def test_dimension_of_a_module_is_the_maximum_over_positions():
+    R = ring(5, "x", "y", "z")
+    per_pos = [[R.parse("x*y"), R.parse("x*z^2")],       # dim 2 at e_0
+               [R.parse("x"), R.parse("y^3 - z")]]       # dim 1 at e_1
+    gens = [FreeModuleElement.basis_vector(R, 2, pos, f)
+            for pos, fs in enumerate(per_pos) for f in fs]
+    dims = [krull_dimension(buchberger(fs)) for fs in per_pos]
+    assert dims == [2, 1]
+    assert krull_dimension(buchberger(gens, ring=R, rank=2)) == 2
+    # a position without relations is free
+    assert krull_dimension(buchberger(gens[2:], ring=R, rank=2)) == 3
+    unit = FreeModuleElement.basis_vector(R, 2, 0, R.one())
+    assert krull_dimension(buchberger([unit] + gens[2:], ring=R,
+                                      rank=2)) == 1
+
+
 # -- syzygies -------------------------------------------------------------------------
 
 def test_koszul_syzygy():
@@ -553,3 +569,29 @@ def test_cokernel_dimension_free_and_zero():
     cols = [FreeModuleElement.basis_vector(R, 2, i) for i in range(2)]
     dim, zero = cokernel_dimension(cols, 2, [], R)
     assert (dim, zero) == (0, True)
+
+
+QUARTIC = (5, ("x1", "x2", "x3", "x4"), ["x1^4 + x2^4 + x3^4 + x4^4"])
+DETERMINANTAL = (3, ("x1", "x2", "x3", "x4", "x5", "x6"),
+                 ["x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5"])
+
+
+@pytest.mark.parametrize("shape, rank, columns, expected", [
+    (QUARTIC, 1, [], (3, False)),
+    (DETERMINANTAL, 1, [], (4, False)),
+    (QUARTIC, 1, [["x1"]], (2, False)),
+    (QUARTIC, 2, [["x1", "x2"], ["x3", "0"]], (2, False)),
+    (DETERMINANTAL, 2, [["x1", "x2"], ["x4", "x5"]], (4, False)),
+    (DETERMINANTAL, 2, [["1", "0"], ["x1", "x2"]], (3, False)),
+    (DETERMINANTAL, 2, [["1", "x3"], ["x1", "1"]], (3, False)),
+    (DETERMINANTAL, 2, [["1", "x3"], ["0", "1"]], (0, True)),
+])
+def test_cokernel_dimension_does_not_depend_on_the_order(shape, rank,
+                                                         columns, expected):
+    p, names, quotient = shape
+    R = ring(p, *names)
+    Q = [R.parse(f) for f in quotient]
+    cols = [FreeModuleElement.from_components(R, [R.parse(c) for c in col])
+            for col in columns]
+    for order in (GREVLEX, LEX, DEGLEX):
+        assert cokernel_dimension(cols, rank, Q, R, order=order) == expected

@@ -482,6 +482,14 @@ def test_module_dimension_ideal_as_module():
     assert module_dimension(ring, Z).is_zero_module
 
 
+def test_module_dimension_of_the_maximal_ideal_as_module():
+    # six generators: a presentation of 6 rows and 22 syzygy columns
+    ring = determinantal_ring()
+    m = ModulePresentation.ideal_as_module(ring, list(ring.vars))
+    md = module_dimension(ring, m)
+    assert md.dimension == 4 and not md.is_zero_module
+
+
 # -- series ------------------------------------------------------------------------------
 
 def test_series_regular():

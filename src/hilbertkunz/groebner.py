@@ -89,8 +89,8 @@ def _minimal(monos: Iterable[int], guards: int) -> tuple:
 def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     """Standard monomials of a minimal Artinian packed staircase.
 
-    Slabs between consecutive exponents of the last variable (the lowest
-    field; gens[0] <= 0xFFFF is its pure power) times their slice counts.
+    Slabs between consecutive exponents of the lowest field (gens[0] <=
+    0xFFFF is its pure power) times their slice counts.
     Memo keys need no level: a k-variable staircase holds a pure power
     >= 2**(16 * (k - 1)), and every value at fewer variables is below it.
     """
@@ -109,6 +109,22 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
         total += (hi - lo) * _count_standard(sub, lower, memo)
     memo[gens] = total
     return total
+
+
+def _least_used_first(gens: tuple, nvars: int) -> tuple:
+    """Minimal packed leads with fields permuted by use, sorted again.
+
+    The field that the fewest leads use (a nonzero exponent) moves to the
+    lowest field, which _count_standard cuts first; ties keep ring order.
+    Permuting fields renames variables, so divisibility, minimality and
+    the standard-monomial count are unchanged.
+    """
+    shifts = range(0, 16 * nvars, 16)
+    order = sorted(shifts, key=lambda sh: sum(1 for g in gens
+                                              if g >> sh & 0xFFFF))
+    moves = [(src, 16 * k) for k, src in enumerate(order)]
+    return tuple(sorted(sum((g >> src & 0xFFFF) << dst for src, dst in moves)
+                        for g in gens))
 
 
 class Staircase:
@@ -145,7 +161,13 @@ class Staircase:
         return out
 
     def colength(self):
-        """Count of (position, monomial) pairs outside, or INFINITE."""
+        """Count of (position, monomial) pairs outside, or INFINITE.
+
+        Each position is counted on its leads repacked least-used variable
+        first (see _least_used_first); the memo is shared, since a key
+        describes a staircase, not the ring's variable names.
+        """
+        nv = self.ring.nvars
         fields = range(0, self.ring.mono_bits, 16)
         memo: dict = {}
         total = 0
@@ -156,7 +178,8 @@ class Staircase:
             if not all(any(g >> sh <= 0xFFFF and not g & ((1 << sh) - 1)
                            for g in gens) for sh in fields):
                 return INFINITE           # some variable has no pure power
-            total += _count_standard(gens, self.ring.guards, memo)
+            total += _count_standard(_least_used_first(gens, nv),
+                                     self.ring.guards, memo)
         return total
 
     def dimension(self) -> int:
@@ -270,7 +293,7 @@ class GroebnerBasis:
             for j in range(i):
                 if (self._lts[i] >> bits) != (self._lts[j] >> bits):
                     continue
-                if eng.reduce(eng.spair(j, i)):
+                if eng.reduce(*eng.spair(j, i)):
                     return False
         return True
 
@@ -334,16 +357,13 @@ class _Engine:
                 return k
         return -1
 
-    def tail_terms(self, k: int):
-        """(term, coeff) pairs of the non-lead terms of element k."""
-        tail = self.basis[k]
-        return zip(tail[0::3], tail[1::3])
-
-    def reduce(self, work: dict, rep: Optional[dict] = None) -> dict:
+    def reduce(self, work: dict, keys: Optional[dict] = None,
+               rep: Optional[dict] = None) -> dict:
         """Divide work by the basis; returns the full remainder.
 
-        When rep is given it is mutated so that the representation
-        invariant (value = rep . generators) holds throughout.
+        keys, when given, holds the term key of every term of work.  When
+        rep is given it is mutated so that the representation invariant
+        (value = rep . generators) holds throughout.
         """
         if not work:
             return work
@@ -355,7 +375,8 @@ class _Engine:
         basis = self.basis
         out: dict = {}
         # the heap holds negated term keys, so the largest term pops first
-        heap = [(-k, t) for t, k in zip(work, map(self.keyf, work))]
+        keyf = self.keyf if keys is None else keys.__getitem__
+        heap = [(-k, t) for t, k in zip(work, map(keyf, work))]
         heapq.heapify(heap)
         pop = heapq.heappop
         push = heapq.heappush
@@ -435,7 +456,7 @@ class _Engine:
         are multiples of the new one, so reducer coverage is preserved).
         """
         ring = self.ring
-        divides = ring.mono_divides
+        g = self.guards
         mono_t = self.ltmonos[t]
         pos = self.lts[t] >> self.bits
         monos = self.mono_by_pos.get(pos, [])
@@ -452,7 +473,7 @@ class _Engine:
         # prune old pairs strictly covered by the new lead (chain criterion)
         stale = []
         for (i, j), (ppos, lcm_ij) in self.pending.items():
-            if ppos != pos or not divides(mono_t, lcm_ij):
+            if ppos != pos or ((lcm_ij | g) - mono_t) & g != g:
                 continue
             if ring.mono_lcm(self.ltmonos[i], mono_t) != lcm_ij and \
                     ring.mono_lcm(self.ltmonos[j], mono_t) != lcm_ij:
@@ -462,7 +483,7 @@ class _Engine:
         # one representative per lcm that no other candidate lcm divides;
         # none when the product criterion fires
         monokey = self.monokeyf
-        for lcm_v in _minimal(sorted(groups), self.guards):
+        for lcm_v in _minimal(sorted(groups), g):
             idxs = groups[lcm_v]
             if self.one_pos[t] and any(
                     self.one_pos[i] and lcm_v == self.ltmonos[i] + mono_t
@@ -473,42 +494,55 @@ class _Engine:
             self.pending[(i, t)] = (pos, lcm_v)
         # retire superseded elements from pair formation and reduction
         for i in active:
-            if divides(mono_t, self.ltmonos[i]):
+            if ((self.ltmonos[i] | g) - mono_t) & g == g:
                 (monos if not self.basis[i] else gens).remove(i)
 
-    def spair(self, i: int, j: int, lcm: Optional[int] = None,
-              reps: bool = False) -> dict:
-        """u_i g_i - u_j g_j scaled to cancel the (monic) leads.
+    def spair(self, i: int, j: int, lcm: Optional[int] = None) -> tuple:
+        """(vector, keys, rep) of the S-pair of elements i and j.
 
-        With reps set, the same shifted difference of the tracked
-        representations of g_i and g_j instead.
+        vector is u_i g_i - u_j g_j scaled to cancel the (monic) leads and
+        keys the term key of each of its terms: u_i g_i leads with
+        (pos, lcm), so a shifted tail term's key is its stored key plus
+        key(pos | lcm) - key(lead of g_i).  rep is the same shifted
+        difference of the tracked representations, or None untracked.
         """
+        ltmonos = self.ltmonos
         if lcm is None:
-            lcm = self.ring.mono_lcm(self.ltmonos[i], self.ltmonos[j])
-        if reps:
-            terms_i, terms_j = self.reps[i].items(), self.reps[j].items()
-        else:                         # the shifted leads cancel
-            terms_i, terms_j = self.tail_terms(i), self.tail_terms(j)
+            lcm = self.ring.mono_lcm(ltmonos[i], ltmonos[j])
         p = self.p
         guards = self.guards
-        ui = lcm - self.ltmonos[i]
-        uj = lcm - self.ltmonos[j]
+        ui = lcm - ltmonos[i]
+        uj = lcm - ltmonos[j]
+        klcm = self.keyf(self.lts[i] + ui)
         vec: dict = {}
-        for t, c in terms_i:
-            tt = t + ui
-            if tt & guards:
-                _raise_overflow()
-            vec[tt] = c
-        for t, c in terms_j:
-            tt = t + uj
-            if tt & guards:
-                _raise_overflow()
-            nc = (vec.get(tt, 0) - c) % p
-            if nc:
-                vec[tt] = nc
-            else:
-                vec.pop(tt, None)
-        return vec
+        keys: dict = {}
+        for e, u, sign in ((i, ui, 1), (j, uj, -1)):
+            off = klcm - self.ltkeys[e]
+            it = iter(self.basis[e])
+            for t, c, k in zip(it, it, it):
+                tt = t + u
+                if tt & guards:
+                    _raise_overflow()
+                nc = (vec.get(tt, 0) + sign * c) % p
+                if nc:
+                    vec[tt] = nc
+                    keys[tt] = k + off
+                else:
+                    vec.pop(tt, None)
+        if not self.track:
+            return vec, keys, None
+        rep: dict = {}
+        for e, u, sign in ((i, ui, 1), (j, uj, -1)):
+            for t, c in self.reps[e].items():
+                tt = t + u
+                if tt & guards:
+                    _raise_overflow()
+                nc = (rep.get(tt, 0) + sign * c) % p
+                if nc:
+                    rep[tt] = nc
+                else:
+                    rep.pop(tt, None)
+        return vec, keys, rep
 
     # -- the main loop ----------------------------------------------------------
 
@@ -522,9 +556,8 @@ class _Engine:
                 raise BudgetExceededError("buchberger pairs",
                                           self.budget.max_pairs,
                                           self.pairs_popped)
-            svec = self.spair(i, j, lcm)
-            rep = self.spair(i, j, lcm, reps=True) if self.track else None
-            r = self.reduce(svec, rep=rep)
+            svec, keys, rep = self.spair(i, j, lcm)
+            r = self.reduce(svec, keys, rep)
             if r:
                 self._update_pairs(self.add(r, rep))
 
@@ -548,7 +581,9 @@ class _Engine:
             # them, so reducing each kept tail once yields the reduced basis
             elements = []
             for k, lt in zip(kept, kept_lts):
-                tail = self.reduce(dict(self.tail_terms(k)))
+                keyed = self.basis[k]
+                tail = self.reduce(dict(zip(keyed[0::3], keyed[1::3])),
+                                   dict(zip(keyed[0::3], keyed[2::3])))
                 tail[lt] = 1
                 elements.append(FreeModuleElement(self.ring, self.rank, tail))
             return elements
@@ -673,8 +708,8 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
         for i in range(j):
             if eng.lts[i] >> bits != eng.lts[j] >> bits:
                 continue
-            srep = eng.spair(i, j, reps=True)
-            rem = eng.reduce(eng.spair(i, j), rep=srep)
+            vec, keys, srep = eng.spair(i, j)
+            rem = eng.reduce(vec, keys, srep)
             if rem:              # pragma: no cover - contradicts GB property
                 raise AssertionError("S-pair failed to reduce to zero")
             if srep:

@@ -206,12 +206,15 @@ class PolyRing:
         return ((b | g) - a) & g == g
 
     def mono_lcm(self, a: int, b: int) -> int:
-        out = 0
-        for sh in self._shifts:
-            ea = (a >> sh) & _FIELD_MASK
-            eb = (b >> sh) & _FIELD_MASK
-            out |= (ea if ea > eb else eb) << sh
-        return out
+        """Fieldwise maximum, branch-free on the guard bits.
+
+        ge keeps the guard bit of each field where a >= b, and
+        ge - (ge >> 15) widens that bit to the field's 0x7FFF mask.
+        """
+        g = self.guards
+        ge = ((a | g) - b) & g
+        keep = ge - (ge >> 15)
+        return (a & keep) | (b & ~keep)
 
     def mono_str(self, m: int) -> str:
         parts = []

@@ -131,11 +131,15 @@ def random_artinian_ideal(rng):
     return R, gens, bounds
 
 
-def random_monomial_ideal(rng):
-    """(ring, exponent tuples, pure power bounds), Artinian by design."""
+def random_monomial_ideal(rng, nvars=None):
+    """(ring, exponent tuples, pure power bounds), Artinian by design.
+
+    nvars (at most 4) fixes the number of variables; by default it is 2
+    or 3.
+    """
     from hilbertkunz import PolyRing
-    nv = rng.choice([2, 3])
-    R = PolyRing(rng.choice([2, 3, 5]), ["x", "y", "z"][:nv])
+    nv = nvars or rng.choice([2, 3])
+    R = PolyRing(rng.choice([2, 3, 5]), ["x", "y", "z", "w"][:nv])
     bounds = [rng.randint(2, 5) for _ in range(nv)]
     exps = [tuple(b if j == i else 0 for j in range(nv))
             for i, b in enumerate(bounds)]

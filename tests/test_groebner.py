@@ -1,6 +1,7 @@
 """Buchberger engine, colength, syzygy, dimension and rank tests."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -352,6 +353,48 @@ def test_colength_matches_box_enumeration_many_variables():
         assert monomial_ideal_colength(exps, nv) == expected
         gb = buchberger([R.monomial(e) for e in exps])
         assert colength(gb) == expected
+
+
+def _permuted(exps, perm):
+    return [tuple(e[i] for i in perm) for e in exps]
+
+
+def test_monomial_colength_does_not_depend_on_the_variable_order():
+    # the count cuts along the least-used variable first, so every
+    # renaming of the variables must give the same number; the fixed
+    # cases tie some or all of the lead counts per variable
+    rng = random.Random(1010)
+    cases = [random_monomial_ideal(rng, nvars=3 + trial % 2)[1:]
+             for trial in range(12)]
+    cases += [([(2, 0, 0), (0, 2, 0), (0, 0, 2)], [2, 2, 2]),
+              ([(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0), (0, 1, 1),
+                (1, 0, 1)], [3, 3, 3]),
+              ([(4, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 2),
+                (1, 1, 0, 0), (0, 0, 1, 1)], [4, 2, 3, 2])]
+    for exps, bounds in cases:
+        expected = box_staircase_count(exps, bounds)
+        for perm in permutations(range(len(bounds))):
+            assert monomial_ideal_colength(_permuted(exps, perm),
+                                           len(bounds)) == expected
+
+
+def test_module_colength_does_not_depend_on_the_variable_order():
+    # x: 3 leads, y and z: 2 each at position 0, which keeps ring order;
+    # z: 3 leads at position 1, which moves it, so the two positions cut
+    # along different variables and share one memo
+    R = ring(3, "x", "y", "z")
+    by_pos = [[(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 0), (1, 0, 1)],
+              [(4, 0, 0), (0, 2, 0), (0, 0, 3), (0, 1, 1), (1, 0, 1)]]
+    kept = [tuple(sorted(R.pack(e) for e in exps)) for exps in by_pos]
+    assert [groebner._least_used_first(k, 3) == k for k in kept] \
+        == [True, False]
+    expected = (box_staircase_count(by_pos[0], [2, 3, 4])
+                + box_staircase_count(by_pos[1], [4, 2, 3]))
+    for perm in permutations(range(3)):
+        gens = [FreeModuleElement.basis_vector(R, 2, pos, R.monomial(e))
+                for pos, exps in enumerate(by_pos)
+                for e in _permuted(exps, perm)]
+        assert colength(buchberger(gens, ring=R, rank=2)) == expected
 
 
 def test_module_colength_one_position_not_artinian():

@@ -514,9 +514,18 @@ def test_series_partial_on_budget():
 
 @pytest.mark.slow
 def test_quartic_e4():
-    # about a minute: 5284 Buchberger pairs, a final basis of 1727 elements
+    # about 25 s on a 2-core machine: 5284 Buchberger pairs, a final
+    # basis of 1727 elements
     ring = quartic_ring()
     assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 672387153
+
+
+@pytest.mark.slow
+def test_determinantal_e4():
+    # about 15 s on a 2-core machine, most of it Buchberger; the
+    # 6809 minimal leads are counted in under 2 s
+    ring = determinantal_ring()
+    assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 69817221
 
 
 def test_ring_dimension_cache_consistency():

@@ -307,6 +307,29 @@ def test_term_keys_add_under_monomial_shifts(data, order):
     assert key(t + u) == key(t) + monokey(u) - monokey(0)
 
 
+# exponents at both ends of a field, 0 and EXP_LIMIT - 1 = 0x7FFF, are drawn
+# often, since that is where a borrow or carry between fields would show
+_exponent = st.one_of(st.sampled_from([0, 1, EXP_LIMIT - 2, EXP_LIMIT - 1]),
+                      st.integers(0, EXP_LIMIT - 1))
+
+
+@st.composite
+def _exponent_pair(draw):
+    nvars = draw(st.integers(1, 6))
+    a = [draw(_exponent) for _ in range(nvars)]
+    b = [draw(_exponent) for _ in range(nvars)]
+    return PolyRing(5, [f"x{i}" for i in range(nvars)]), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pair())
+def test_mono_lcm_is_the_fieldwise_maximum(data):
+    ring, a, b = data
+    lcm = ring.mono_lcm(ring.pack(a), ring.pack(b))
+    assert ring.unpack(lcm) == tuple(map(max, a, b))
+    assert lcm == ring.mono_lcm(ring.pack(b), ring.pack(a))
+
+
 # -- explicit order comparisons --------------------------------------------------------
 
 def test_grevlex_classic_comparison():

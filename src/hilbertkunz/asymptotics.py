@@ -183,7 +183,7 @@ def _solve_two_point(by_n, n_lo: int, n_hi: int, d: int):
     return alpha, beta
 
 
-def fit_two_point(series, d: int, p: int, n_lo: Optional[int] = None,
+def fit_two_point(series, d: int, *, n_lo: Optional[int] = None,
                   n_hi: Optional[int] = None) -> FitReport:
     """Solve value = alpha q^d + beta q^{d-1} exactly at two entries.
 
@@ -191,10 +191,6 @@ def fit_two_point(series, d: int, p: int, n_lo: Optional[int] = None,
     singular for distinct positive q.  Residuals, the error constant and
     the per-window estimate trail are reported over the whole series so
     slow convergence stays visible.
-
-    .. deprecated:: 0.1.0
-       The p parameter is unused: q is read from each entry.  It stays
-       positional for now and will be removed in a later release.
     """
     entries = _entries(series)
     if len(entries) < 2:
@@ -280,13 +276,8 @@ class DeltaTrend:
     differences: Tuple[Tuple[int, Fraction], ...]
 
 
-def tau_from_delta(delta_series, d: int, p: int) -> DeltaTrend:
-    """Normalize a delta series by q^{d-1} and expose its convergence.
-
-    .. deprecated:: 0.1.0
-       The p parameter is unused: q is read from each entry.  It stays
-       positional for now and will be removed in a later release.
-    """
+def tau_from_delta(delta_series, d: int) -> DeltaTrend:
+    """Normalize a delta series by q^{d-1} and expose its convergence."""
     seq = _normalized(delta_series, d)
     diffs = tuple((seq[i + 1][0], seq[i + 1][1] - seq[i][1])
                   for i in range(len(seq) - 1))
@@ -301,13 +292,8 @@ class GammaEstimate:
     sequence: Tuple[Tuple[int, Fraction], ...]
 
 
-def gamma_estimate(tor_series, d: int, p: int) -> GammaEstimate:
-    """Normalize Tor_1 lengths by q^{d-1} and expose the trend.
-
-    .. deprecated:: 0.1.0
-       The p parameter is unused: q is read from each entry.  It stays
-       positional for now and will be removed in a later release.
-    """
+def gamma_estimate(tor_series, d: int) -> GammaEstimate:
+    """Normalize Tor_1 lengths by q^{d-1} and expose the trend."""
     seq = _normalized(tor_series, d)
     return GammaEstimate(float(seq[-1][1]), seq[-1][1], tuple(seq))
 
@@ -318,8 +304,4 @@ def residual_bound(series, alpha: Fraction, beta: Fraction, d: int) -> Fraction:
     Taken over the entries with n >= 1; exact rational arithmetic
     throughout.  Returns 0 when the two-term model matches exactly.
     """
-    entries = _entries(series)
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    _, cmin = _residuals(entries, alpha, beta, d)
-    return cmin
+    return _residuals(_entries(series), Fraction(alpha), Fraction(beta), d)[1]

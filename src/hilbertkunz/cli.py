@@ -336,7 +336,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
     module, ideal = _inputs(problem, args, _series_section)
     s = _series(problem, args, module, ideal, _series_section)
     d = args.d if args.d is not None else problem.ring.dimension
-    fit = fit_two_point(s, d, problem.ring.p)
+    fit = fit_two_point(s, d)
     tau = tau_from_recurrence(s, d, problem.ring.p)
     out = {
         "series": _series_payload(s),
@@ -364,7 +364,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
             deltas.append((n, q, value))
             out["delta"]["entries"].append(
                 {"n": n, "q": q, "delta": str(value)})
-        trend = tau_from_delta(deltas, d, problem.ring.p)
+        trend = tau_from_delta(deltas, d)
         out["delta"].update({
             "tau_hat": trend.tau_hat,
             "v_sequence": [{"n": n, "value": _frac(v)}
@@ -412,7 +412,7 @@ def _cmd_tor(problem: ProblemFile, args) -> dict:
         entries.append((n, q, value))
         rows.append({"n": n, "q": q, "length": str(value)})
     d = args.d if args.d is not None else problem.ring.dimension
-    gamma = gamma_estimate(entries, d, problem.ring.p)
+    gamma = gamma_estimate(entries, d)
     return {
         "tor1": rows,
         "gamma_hat": gamma.gamma_hat,

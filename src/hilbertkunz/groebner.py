@@ -143,23 +143,6 @@ class Staircase:
         self._by_pos = {pos: _minimal(sorted(monos), ring.guards)
                         for pos, monos in by_pos.items()}
 
-    def covers(self, pos: int, exponents: Sequence[int]) -> bool:
-        """Whether (pos, monomial) lies in the leading-term submodule."""
-        g = self.ring.guards
-        mg = self.ring.pack(exponents) | g
-        for lt in self._by_pos.get(pos, ()):
-            if (mg - lt) & g == g:
-                return True
-        return False
-
-    def minimal_generators(self) -> list:
-        """(position, exponent tuple) for each minimal leading term."""
-        out = []
-        for pos in sorted(self._by_pos):
-            for m in self._by_pos[pos]:
-                out.append((pos, self.ring.unpack(m)))
-        return out
-
     def colength(self):
         """Count of (position, monomial) pairs outside, or INFINITE.
 
@@ -211,32 +194,37 @@ class Staircase:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis with cached leading terms.
+    """Reduced Groebner basis with its staircase.
 
-    Lengths, dimensions and lead tests read only the leads.  The reduced
-    elements are built by the run's deferred tail reduction on the first
-    read of elements, and cached.
+    The staircase's minimal leads are the basis' leads, so lengths,
+    dimensions and lead tests read no element.  The reduced elements are
+    built by the run's deferred tail reduction on the first read of
+    elements, and cached.
     """
 
     __slots__ = ("ring", "rank", "order", "_elements", "_build", "_lts",
                  "_staircase", "_reducer_cache")
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 lead_terms: Sequence[int],
-                 build: Callable[[], Sequence[FreeModuleElement]]):
+                 staircase: Staircase,
+                 build: Callable[[tuple], Sequence[FreeModuleElement]]):
         self.ring = ring
         self.rank = rank
         self.order = order
-        self._lts = tuple(lead_terms)
-        self._build = build           # the elements, in lead_terms order
+        bits = ring.mono_bits
+        self._lts = tuple(sorted((pos << bits | m
+                                  for pos, monos in staircase._by_pos.items()
+                                  for m in monos),
+                                 key=ring.term_key_fn(order, rank)))
+        self._staircase = staircase
+        self._build = build           # leads -> their elements, in order
         self._elements: Optional[tuple] = None
-        self._staircase: Optional[Staircase] = None
         self._reducer_cache = None
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(self._build())
+            self._elements = tuple(self._build(self._lts))
             self._build = None        # releases the run's engine
         return self._elements
 
@@ -247,8 +235,6 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def staircase(self) -> Staircase:
-        if self._staircase is None:
-            self._staircase = Staircase(self.ring, self.rank, self._lts)
         return self._staircase
 
     def lead_terms(self) -> list:
@@ -564,31 +550,31 @@ class _Engine:
     # -- canonical output ---------------------------------------------------------
 
     def finalize(self) -> GroebnerBasis:
-        """The reduced basis: its minimal leads now, its tails on demand."""
-        first: dict = {}                  # lead -> its lowest basis index
-        for k, lt in enumerate(self.lts):
-            first.setdefault(lt, k)
-        bits = self.bits
-        stairs = Staircase(self.ring, self.rank, first)
-        kept_lts = sorted((pos << bits | m
-                           for pos, monos in stairs._by_pos.items()
-                           for m in monos), key=self.keyf)
-        kept = [first[lt] for lt in kept_lts]
+        """The reduced basis: its staircase now, its tails on demand.
 
-        def reduced_elements() -> list:
+        The staircase is built from the live elements alone: a retired
+        lead is a multiple of a live one, and live leads are distinct,
+        since a new element retires every live one that its lead divides.
+        """
+        live = {self.lts[k]: k
+                for by_pos in (self.mono_by_pos, self.gen_by_pos)
+                for idxs in by_pos.values() for k in idxs}
+
+        def reduced_elements(lts: tuple) -> list:
             # the live elements form a Groebner basis, and normal forms
             # modulo a Groebner basis do not depend on which basis reduces
             # them, so reducing each kept tail once yields the reduced basis
             elements = []
-            for k, lt in zip(kept, kept_lts):
-                keyed = self.basis[k]
+            for lt in lts:
+                keyed = self.basis[live[lt]]
                 tail = self.reduce(dict(zip(keyed[0::3], keyed[1::3])),
                                    dict(zip(keyed[0::3], keyed[2::3])))
                 tail[lt] = 1
                 elements.append(FreeModuleElement(self.ring, self.rank, tail))
             return elements
 
-        return GroebnerBasis(self.ring, self.rank, self.order, kept_lts,
+        return GroebnerBasis(self.ring, self.rank, self.order,
+                             Staircase(self.ring, self.rank, live),
                              reduced_elements)
 
 
@@ -817,7 +803,7 @@ def cokernel_dimension(columns: Sequence[FreeModuleElement],
     relations = list(columns) + [
         FreeModuleElement.basis_vector(ring, ambient_rank, i, qg)
         for qg in quotient_gens for i in range(ambient_rank)]
-    stairs = buchberger(relations, order, ring=ring, rank=ambient_rank,
-                        budget=budget).staircase()
-    units = sum(not any(exps) for _, exps in stairs.minimal_generators())
-    return stairs.dimension(), units == ambient_rank
+    gb = buchberger(relations, order, ring=ring, rank=ambient_rank,
+                    budget=budget)
+    units = sum(not any(exps) for _, exps in gb.lead_terms())
+    return gb.staircase().dimension(), units == ambient_rank

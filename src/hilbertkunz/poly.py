@@ -646,7 +646,7 @@ class FreeModuleElement:
         return f"<{self} in rank {self.rank} over F_{self.ring.p}>"
 
 
-def as_vector(g, ring: Optional[PolyRing] = None) -> FreeModuleElement:
+def as_vector(g) -> FreeModuleElement:
     """View a Polynomial as a rank-1 module element (shares the term dict)."""
     if isinstance(g, FreeModuleElement):
         return g

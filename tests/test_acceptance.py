@@ -115,7 +115,7 @@ def test_criterion_2_determinantal(determinantal_series):
 def test_criterion_3_beta(determinantal_series):
     values, _ = determinantal_series
     entries = [(n, 3 ** n, v) for n, v in enumerate(values)]
-    fit = fit_two_point(entries, 4, 3, n_lo=2, n_hi=3)
+    fit = fit_two_point(entries, 4, n_lo=2, n_hi=3)
     exact = Fraction(-199, 729)
     assert fit.beta == exact
     assert abs(fit.beta_hat - (-0.27298)) <= 1e-4
@@ -196,7 +196,7 @@ def test_criterion_7_tor(quartic):
         value = tor1_length(flat, hyper, ideal, n)
         assert value == 2 ** n
         tor_entries.append((n, 2 ** n, value))
-    gamma = gamma_estimate(tor_entries, 2, 2)
+    gamma = gamma_estimate(tor_entries, 2)
     assert gamma.gamma_last == 1
     assert all(v == 1 for _, v in gamma.sequence)
 

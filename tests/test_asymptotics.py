@@ -79,7 +79,7 @@ def test_verify_perturbation_fails_at_the_right_entry():
 def test_fit_exact_two_term_model():
     # e = 2 q^3 + 5 q^2 exactly, d = 3, p = 2
     series = [(n, 2 ** n, 2 * 8 ** n + 5 * 4 ** n) for n in range(4)]
-    fit = fit_two_point(series, 3, 2)
+    fit = fit_two_point(series, 3)
     assert fit.alpha == 2 and fit.beta == 5
     assert fit.alpha_hat == 2.0 and fit.beta_hat == 5.0
     assert all(r == 0 for _, r in fit.residuals)
@@ -87,13 +87,13 @@ def test_fit_exact_two_term_model():
 
 
 def test_fit_determinantal_window_9_27():
-    fit = fit_two_point(DET_SERIES, 4, 3, n_lo=2, n_hi=3)
+    fit = fit_two_point(DET_SERIES, 4, n_lo=2, n_hi=3)
     assert fit.alpha == Fraction(10666, 6561)
     assert fit.beta == Fraction(-199, 729)
     assert abs(fit.alpha_hat - 1.62567) < 1e-5
     assert abs(fit.beta_hat - (-0.27298)) < 1e-5
     # default window is the two largest n
-    assert fit_two_point(DET_SERIES, 4, 3).window == (2, 3)
+    assert fit_two_point(DET_SERIES, 4).window == (2, 3)
     # the per-window trail exposes convergence toward 13/8, -1/4
     windows = [(a, b) for a, b, _, _ in fit.per_window]
     assert windows == [(0, 1), (1, 2), (2, 3)]
@@ -102,19 +102,28 @@ def test_fit_determinantal_window_9_27():
 
 
 def test_fit_quartic_window_5_25():
-    fit = fit_two_point(QUARTIC_SERIES, 3, 5, n_lo=1, n_hi=2)
+    fit = fit_two_point(QUARTIC_SERIES, 3, n_lo=1, n_hi=2)
     assert fit.alpha == Fraction(17271, 6250)
     assert abs(fit.alpha_hat - 2.76336) < 1e-5
     assert abs(fit.alpha_hat - 168 / 61) < 0.01    # already near the limit
 
 
+def test_fit_window_is_keyword_only():
+    # the removed p parameter stood third: an old positional call fails
+    # instead of reading p as n_lo
+    with pytest.raises(TypeError):
+        fit_two_point(QUARTIC_SERIES, 3, 5)
+    with pytest.raises(TypeError):
+        fit_two_point(QUARTIC_SERIES, 3, 1, 2)
+
+
 def test_fit_window_validation():
     with pytest.raises(ValueError):
-        fit_two_point(QUARTIC_SERIES, 3, 5, n_lo=2, n_hi=1)
+        fit_two_point(QUARTIC_SERIES, 3, n_lo=2, n_hi=1)
     with pytest.raises(ValueError):
-        fit_two_point(QUARTIC_SERIES, 3, 5, n_lo=0, n_hi=7)
+        fit_two_point(QUARTIC_SERIES, 3, n_lo=0, n_hi=7)
     with pytest.raises(ValueError):
-        fit_two_point([(0, 1, 1)], 3, 5)
+        fit_two_point([(0, 1, 1)], 3)
 
 
 # -- tau from the Frobenius recurrence -----------------------------------------------
@@ -147,12 +156,12 @@ def test_tau_beta_consistency_with_fit():
     # a consecutive fit window makes the two beta estimates algebraically
     # identical; verify on both published series
     for series, d, p in ((DET_SERIES, 4, 3), (QUARTIC_SERIES, 3, 5)):
-        fit = fit_two_point(series, d, p)
+        fit = fit_two_point(series, d)
         est = tau_from_recurrence(series, d, p)
         assert fit.beta == est.beta_implied
     # non-consecutive window: the estimates differ only by error-term
     # contributions, bounded by a small multiple of the residual constants
-    fit = fit_two_point(DET_SERIES, 4, 3, n_lo=1, n_hi=3)
+    fit = fit_two_point(DET_SERIES, 4, n_lo=1, n_hi=3)
     est = tau_from_recurrence(DET_SERIES, 4, 3, n=2)
     q_lo = 3
     bound = 8 * max(fit.c_min, Fraction(5, 24)) / q_lo
@@ -163,7 +172,7 @@ def test_tau_beta_consistency_with_fit():
 
 def test_delta_trend_zero_for_ring():
     deltas = [(n, 2 ** n, 0) for n in range(4)]
-    trend = tau_from_delta(deltas, 2, 2)
+    trend = tau_from_delta(deltas, 2)
     assert trend.v_last == 0
     assert all(v == 0 for _, v in trend.sequence)
 
@@ -172,7 +181,7 @@ def test_delta_trend_exact_leading_term():
     # delta = 7 q^{d-1} exactly: v_n constant, differences zero
     d = 3
     deltas = [(n, 5 ** n, 7 * 25 ** n) for n in range(4)]
-    trend = tau_from_delta(deltas, d, 5)
+    trend = tau_from_delta(deltas, d)
     assert trend.v_last == 7
     assert all(v == 7 for _, v in trend.sequence)
     assert all(dv == 0 for _, dv in trend.differences)
@@ -182,8 +191,8 @@ def test_delta_trend_doubles_under_direct_sum():
     d = 2
     base = [(n, 2 ** n, 2 ** n + 1) for n in range(4)]
     doubled = [(n, q, 2 * v) for n, q, v in base]
-    t1 = tau_from_delta(base, d, 2)
-    t2 = tau_from_delta(doubled, d, 2)
+    t1 = tau_from_delta(base, d)
+    t2 = tau_from_delta(doubled, d)
     assert t2.v_last == 2 * t1.v_last
     assert [v for _, v in t2.sequence] == [2 * v for _, v in t1.sequence]
 
@@ -194,7 +203,7 @@ def test_delta_trend_differences_are_O_one_over_q():
     # index, which labels the later entry)
     d, p = 3, 3
     deltas = [(n, p ** n, 4 * p ** (2 * n) + 9 * p ** n) for n in range(6)]
-    trend = tau_from_delta(deltas, d, p)
+    trend = tau_from_delta(deltas, d)
     scaled = [abs(dv) * p ** n for n, dv in trend.differences]
     assert max(scaled) <= 9 * (p - 1)
 
@@ -203,13 +212,13 @@ def test_delta_trend_differences_are_O_one_over_q():
 
 def test_gamma_zero_module():
     tor = [(n, 2 ** n, 0) for n in range(4)]
-    est = gamma_estimate(tor, 2, 2)
+    est = gamma_estimate(tor, 2)
     assert est.gamma_last == 0
 
 
 def test_gamma_hyperplane_is_one():
     tor = [(n, 2 ** n, 2 ** n) for n in range(1, 5)]
-    est = gamma_estimate(tor, 2, 2)
+    est = gamma_estimate(tor, 2)
     assert est.gamma_last == 1
     assert all(v == 1 for _, v in est.sequence)
 
@@ -231,6 +240,12 @@ def test_residual_bound_quartic_beta_zero():
     assert got == Fraction(321, 305)
 
 
+def test_residual_bound_is_the_fit_constant():
+    for series, d in ((DET_SERIES, 4), (QUARTIC_SERIES, 3)):
+        fit = fit_two_point(series, d)
+        assert residual_bound(series, fit.alpha, fit.beta, d) == fit.c_min
+
+
 def test_fit_recovers_exact_data_to_full_precision():
     # exact alpha q^d + beta q^{d-1} inputs give exact rational recovery
     for alpha, beta, d, p in ((Fraction(7, 3), Fraction(-2, 9), 3, 3),
@@ -241,6 +256,6 @@ def test_fit_recovers_exact_data_to_full_precision():
             v = alpha * q ** d + beta * q ** (d - 1)
             if v.denominator == 1:
                 series.append((n, q, int(v)))
-        fit = fit_two_point(series, d, p)
+        fit = fit_two_point(series, d)
         assert fit.alpha == alpha and fit.beta == beta
         assert fit.c_min == 0

@@ -1,5 +1,6 @@
 """Buchberger engine, colength, syzygy, dimension and rank tests."""
 
+import gc
 import random
 from itertools import permutations
 
@@ -116,8 +117,8 @@ def _equal_and_dividing_submodule(R):
 def _shared_lead_submodule(R):
     def vec(a, b):
         return FreeModuleElement.from_components(R, [R.parse(a), R.parse(b)])
-    # two inputs share the minimal lead x*y in position 0; finalize keeps
-    # the one with the lower index
+    # two inputs share the minimal lead x*y in position 0; the second
+    # retires the first, and finalize reduces the live one's tail
     return [vec("x*y + z^2", "y"), vec("x*y", "z"), vec("0", "x^2 - y*z")]
 
 
@@ -146,8 +147,9 @@ def test_equal_and_dividing_input_leads(build):
             assert combo.is_zero()
 
 
-# the reduced bases of the first two builders, taken from the eager
-# tail reduction that finalize ran before elements were built on demand
+# the reduced bases of the builders, taken from the eager tail reduction
+# that finalize ran before elements were built on demand (the first two)
+# and from the lowest-indexed element of each lead (the third)
 EAGER_BASES = {
     _equal_and_dividing_ideal: [
         "y*z + z^2", "x*y + 4*z^2", "x*z^2 + z^3", "y^3 + 3*z^3", "z^4"],
@@ -155,6 +157,9 @@ EAGER_BASES = {
         "(0, x + 4*y)", "(0, y*z + z^2)", "(0, y^2 + z^2)", "(0, z^3)",
         "(y*z + z^2, 0)", "(x*y + 4*z^2, y)", "(z^3, 4*z)",
         "(x*z^2, z^2 + z)"],
+    _shared_lead_submodule: [
+        "(0, x^2 + 4*y*z)", "(0, x*y^2 + 4*x*y*z + 4*z^3)",
+        "(0, y^3*z + 4*y^2*z^2 + 4*x*z^3)", "(z^2, y + 4*z)", "(x*y, z)"],
 }
 
 
@@ -297,12 +302,50 @@ def test_monomial_ideal_colength_exponent_cap():
 def test_staircase_queries():
     R = ring(2, "x", "y")
     gb = buchberger([R.parse("x^2"), R.parse("x*y"), R.parse("y^2")])
-    st = gb.staircase()
-    assert st.covers(0, (2, 0))
-    assert st.covers(0, (2, 5))
-    assert not st.covers(0, (1, 0))
-    assert sorted(st.minimal_generators()) == [(0, (0, 2)), (0, (1, 1)),
-                                               (0, (2, 0))]
+    assert sorted(gb.lead_terms()) == [(0, (0, 2)), (0, (1, 1)),
+                                       (0, (2, 0))]
+    assert gb.contains(R.parse("x^2*y^5"))
+    assert not gb.contains(R.parse("x"))
+    assert colength(gb) == 3
+
+
+def test_one_staircase_per_run(monkeypatch):
+    # finalize builds the run's staircase from the live elements, and
+    # colength, the dimension and staircase() all read that one
+    calls = []
+    init = groebner.Staircase.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(groebner.Staircase, "__init__", counting)
+    R = ring(5, "x", "y", "z")
+    # a complete intersection of degrees 2, 2 and 3
+    gb = buchberger([R.parse("x^2 - y*z"), R.parse("y^2 + x*z"),
+                     R.parse("z^3")])
+    assert colength(gb) == 12
+    assert krull_dimension(gb) == 0
+    assert gb.staircase() is gb.staircase()
+    assert len(calls) == 1
+
+
+def test_unread_basis_is_freed_without_the_collector():
+    # the deferred build holds the run's engine; a reference from it back
+    # to the basis would keep both alive until the cycle collector runs
+    R = ring(5, "x", "y", "z")
+    gens = [R.parse("x^2 - y*z"), R.parse("y^2 + x*z"), R.parse("z^3")]
+    gc.collect()
+    gc.disable()
+    try:
+        for read in (False, True):
+            gb = buchberger(gens)
+            if read:
+                gb.elements
+            del gb
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- random cross-checks against independent oracles ----------------------------------

@@ -297,7 +297,9 @@ class _Engine:
     term, coeff, key, ...) of its other terms, each with its term key.
     Term keys add under monomial shifts, key(t + u) = key(t) + key(u) -
     key(1), so a shifted term's key is its stored key plus an offset per
-    reduction step and the kernel calls no key function.
+    reduction step and the kernel calls no key function.  The kernel,
+    reduce, pushes each term onto its heap once and hands add the keys
+    of a remainder, lead first.
     """
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
@@ -318,7 +320,7 @@ class _Engine:
         self.ltmonos: List[int] = []
         self.one_pos: List[bool] = []     # supported on a single position
         # live (not superseded) elements per position, in insertion order;
-        # find_reducer tries the single-term ones first, which takes fewer
+        # reduce tries the single-term ones first, which takes fewer
         # reduction steps than trying all of them in insertion order
         self.mono_by_pos: dict = {}       # pos -> [idx of single-term elements]
         self.gen_by_pos: dict = {}        # pos -> [idx of the rest]
@@ -330,66 +332,75 @@ class _Engine:
 
     # -- reduction ----------------------------------------------------------
 
-    def find_reducer(self, t: int) -> int:
-        pos = t >> self.bits
-        g = self.guards
-        tg = t | g
-        lts = self.lts
-        for k in self.mono_by_pos.get(pos, ()):
-            if (tg - lts[k]) & g == g:
-                return k
-        for k in self.gen_by_pos.get(pos, ()):
-            if (tg - lts[k]) & g == g:
-                return k
-        return -1
-
     def reduce(self, work: dict, keys: Optional[dict] = None,
                rep: Optional[dict] = None) -> dict:
         """Divide work by the basis; returns the full remainder.
 
-        keys, when given, holds the term key of every term of work.  When
+        The remainder lists its terms in descending order, so its lead
+        comes first.  keys, when given, holds the term key of every term
+        of work, and on return those of the remainder's terms too.  When
         rep is given it is mutated so that the representation invariant
         (value = rep . generators) holds throughout.
+
+        Each term enters the heap once: work holds exactly the queued
+        terms, a cancelled one at coefficient 0 until it is popped, and a
+        step only creates terms below the popped one, so a popped term
+        never returns.  Coefficients are reduced mod p and exponents
+        tested for overflow when a term is popped.
         """
         if not work:
             return work
+        if keys is None:
+            keys = dict(zip(work, map(self.keyf, work)))
         p = self.p
+        bits = self.bits
         guards = self.guards
-        find = self.find_reducer
         lts = self.lts
         ltkeys = self.ltkeys
         basis = self.basis
+        mono_by_pos = self.mono_by_pos
+        gen_by_pos = self.gen_by_pos
+        get = work.get
         out: dict = {}
         # the heap holds negated term keys, so the largest term pops first
-        keyf = self.keyf if keys is None else keys.__getitem__
-        heap = [(-k, t) for t, k in zip(work, map(keyf, work))]
+        heap = [(-keys[t], t) for t in work]
         heapq.heapify(heap)
         pop = heapq.heappop
         push = heapq.heappush
         while heap:
             nk, t = pop(heap)
-            c = work.pop(t, 0)
+            if t & guards:
+                _raise_overflow()
+            c = work.pop(t) % p
             if not c:
                 continue
-            k = find(t)
-            if k < 0:
-                out[t] = c
-                continue
-            u = t - lts[k]                # pure monomial shift
-            off = nk + ltkeys[k]          # heap key of tg + u is off - kg
-            it = iter(basis[k])
-            for tg, cg, kg in zip(it, it, it):
-                tt = tg + u
-                if tt & guards:
-                    _raise_overflow()
-                nc = (work.get(tt, 0) - c * cg) % p
-                if nc:
-                    if tt not in work:
-                        push(heap, (off - kg, tt))
-                    work[tt] = nc
+            # the reducer: single-term elements first, then index order
+            tg = t | guards
+            pos = t >> bits
+            for k in mono_by_pos.get(pos, ()):
+                if (tg - lts[k]) & guards == guards:
+                    break
+            else:
+                for k in gen_by_pos.get(pos, ()):
+                    if (tg - lts[k]) & guards == guards:
+                        break
                 else:
-                    work.pop(tt, None)
+                    out[t] = c
+                    keys[t] = -nk
+                    continue
+                u = t - lts[k]            # pure monomial shift
+                off = nk + ltkeys[k]      # heap key of tt + u is off - kg
+                it = iter(basis[k])
+                for tt, cg, kg in zip(it, it, it):
+                    tt += u
+                    v = get(tt)
+                    if v is None:
+                        work[tt] = -c * cg
+                        push(heap, (off - kg, tt))
+                    else:
+                        work[tt] = v - c * cg
             if rep is not None:
+                u = t - lts[k]
                 for tr, cr in self.reps[k].items():
                     tt = tr + u
                     if tt & guards:
@@ -403,10 +414,18 @@ class _Engine:
 
     # -- basis growth ---------------------------------------------------------
 
-    def add(self, vec: dict, rep: Optional[dict] = None) -> int:
-        """Normalize monic, append, and index as a reducer."""
-        keys = dict(zip(vec, map(self.keyf, vec)))
-        lt = max(keys, key=keys.__getitem__)
+    def add(self, vec: dict, rep: Optional[dict] = None,
+            keys: Optional[dict] = None) -> int:
+        """Normalize monic, append, and index as a reducer.
+
+        keys, when given, holds the term key of every term of vec, and vec
+        lists its lead first, as a remainder of reduce does.
+        """
+        if keys is None:
+            keys = dict(zip(vec, map(self.keyf, vec)))
+            lt = max(keys, key=keys.__getitem__)
+        else:
+            lt = next(iter(vec))
         lc = vec[lt]
         if lc != 1:
             inv = pow(lc, self.p - 2, self.p)
@@ -545,7 +564,7 @@ class _Engine:
             svec, keys, rep = self.spair(i, j, lcm)
             r = self.reduce(svec, keys, rep)
             if r:
-                self._update_pairs(self.add(r, rep))
+                self._update_pairs(self.add(r, rep, keys))
 
     # -- canonical output ---------------------------------------------------------
 

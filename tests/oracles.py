@@ -2,8 +2,9 @@
 
 Nothing here touches the Groebner engine: colengths come from dense
 linear algebra over degree-truncated multiplication rows, monomial
-staircases from direct lattice enumeration, and module lengths from
-explicit spanning sets inside a bounding box.  These stay deliberately
+staircases from direct lattice enumeration, module lengths from
+explicit spanning sets inside a bounding box, and remainders from
+textbook division on exponent tuples.  These stay deliberately
 naive so they remain trustworthy.
 
 The random-instance generators always include a pure power of every
@@ -88,6 +89,58 @@ def dense_colength(gens, pure_power_bounds: Sequence[int]) -> int:
             if row:
                 rows.append(row)
     return len(mons) - gauss_rank_mod_p(rows, p)
+
+
+def order_key(order: str, exps: Sequence[int]) -> tuple:
+    """Sort key of an exponent tuple: larger key, larger monomial.
+
+    lex compares exponents from the first variable on; grevlex compares
+    total degree, then the last variable whose exponents differ, where
+    the smaller exponent is the larger monomial.
+    """
+    if order == "lex":
+        return tuple(exps)
+    if order == "grevlex":
+        return (sum(exps),) + tuple(-e for e in reversed(exps))
+    raise ValueError(f"no oracle order {order!r}")
+
+
+def division_remainder(f: Dict[tuple, int], divisors: Sequence[Dict],
+                       order: str, p: int) -> Dict[tuple, int]:
+    """Remainder of textbook multivariate division over F_p.
+
+    f and the divisors map (position, exponent tuple) to coefficients.
+    Terms compare position first, position 0 largest, then by the
+    monomial order.  The largest term left is cancelled by the first
+    divisor whose lead divides it, or else moved to the remainder.
+    """
+    def key(term):
+        return (-term[0], order_key(order, term[1]))
+
+    divs = []
+    for g in divisors:
+        lead = max(g, key=key)
+        inv = pow(g[lead], p - 2, p)
+        divs.append((lead, {t: c * inv % p for t, c in g.items()}))
+    left = {t: c % p for t, c in f.items() if c % p}
+    rem: Dict[tuple, int] = {}
+    while left:
+        pos, exps = top = max(left, key=key)
+        c = left[top]
+        for (lpos, lexps), g in divs:
+            if lpos == pos and all(a <= b for a, b in zip(lexps, exps)):
+                shift = [b - a for a, b in zip(lexps, exps)]
+                for (gpos, gexps), gc in g.items():
+                    t = (gpos, tuple(a + b for a, b in zip(gexps, shift)))
+                    nc = (left.get(t, 0) - c * gc) % p
+                    if nc:
+                        left[t] = nc
+                    else:
+                        left.pop(t, None)
+                break
+        else:
+            rem[top] = left.pop(top)
+    return rem
 
 
 def box_staircase_count(mono_gens: Sequence[Sequence[int]],

@@ -1,10 +1,13 @@
 """Buchberger engine, colength, syzygy, dimension and rank tests."""
 
 import gc
+import heapq
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
                          INFINITE, LEX, ExponentOverflowError,
@@ -16,7 +19,7 @@ from hilbertkunz import groebner
 from hilbertkunz.groebner import _minimal
 from hilbertkunz.poly import as_vector
 
-from oracles import (box_staircase_count, dense_colength,
+from oracles import (box_staircase_count, dense_colength, division_remainder,
                      random_artinian_ideal, random_monomial_ideal)
 
 
@@ -246,6 +249,73 @@ def test_membership_both_directions():
     assert not gb.contains(R.parse("y"))
 
 
+@pytest.mark.parametrize("basis, f", [
+    (["x*y + z^2"], "x*y*z^32766"),
+    # the two steps make z^32768 with opposite signs: it cancels, and the
+    # overflow is still reported
+    (["x*y + z^2", "x*w + z^2"], "x*y*z^32766 - x*w*z^32766"),
+])
+def test_normal_form_overflow_in_a_reduction_step(basis, f):
+    R = ring(5, "x", "y", "w", "z")
+    gb = buchberger([R.parse(g) for g in basis])
+    with pytest.raises(ExponentOverflowError) as err:
+        normal_form(R.parse(f), gb)
+    assert any(entry.name == "reduce" for entry in err.traceback)
+
+
+def test_buchberger_overflow_in_a_reduction_step():
+    # the S-vector x*z^2 - x*y*z^32766 fits; its step by x*y + z^2 makes
+    # z^32768
+    R = PolyRing(5, ["x", "y", "z"], order=LEX)
+    with pytest.raises(ExponentOverflowError) as err:
+        buchberger([R.parse("x*y + z^2"), R.parse("x^2 + x*z^32766")], LEX)
+    assert any(entry.name == "reduce" for entry in err.traceback)
+
+
+def _entries(vec):
+    return {(pos, exps): c for pos, exps, c in as_vector(vec).entries()}
+
+
+@st.composite
+def division_cases(draw):
+    """(order, basis, f): up to three generators of an ideal or a rank-2
+    submodule over F_2, F_3 or F_5, and an element to divide."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    order = draw(st.sampled_from([LEX, GREVLEX]))
+    nv = draw(st.integers(2, 3))
+    rank = draw(st.integers(1, 2))
+    R = PolyRing(p, ["x", "y", "z"][:nv], order=order)
+
+    def element(top, size, low=0):
+        terms = draw(st.lists(st.tuples(
+            st.integers(0, rank - 1),
+            st.tuples(*[st.integers(0, top)] * nv).filter(
+                lambda e: sum(e) >= low),
+            st.integers(1, p - 1)), min_size=1, max_size=size))
+        comps = [R.from_terms([(e, c) for pos, e, c in terms if pos == i])
+                 for i in range(rank)]
+        return comps[0] if rank == 1 else \
+            FreeModuleElement.from_components(R, comps)
+
+    # no constant terms, so the unit ideal is rare
+    gens = [element(3, 3, low=1) for _ in range(draw(st.integers(1, 3)))]
+    return order, buchberger(gens, order, ring=R, rank=rank), element(6, 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_normal_form_matches_textbook_division(case):
+    # normal forms modulo a Groebner basis are unique, so division that
+    # picks its reducers in its own way must leave the same remainder
+    order, gb, f = case
+    want = division_remainder(_entries(f),
+                              [_entries(g) for g in gb.elements],
+                              order.name, gb.ring.p)
+    nf = normal_form(f, gb)
+    assert type(nf) is type(f)
+    assert _entries(nf) == want
+
+
 # -- colength ----------------------------------------------------------------------
 
 def test_colength_univariate():
@@ -346,6 +416,59 @@ def test_unread_basis_is_freed_without_the_collector():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _sheared_quartic(q):
+    """The diagonal quartic after x1 -> x1 + 2*x3, x3 -> x3 + x4, over F_5,
+    with the pure powers x_i^q."""
+    R = ring(5, "x1", "x2", "x3", "x4")
+    f = sum((R.parse(part) ** 4 for part in ("x1 + 2*x3", "x2", "x3 + x4",
+                                             "x4")), R.zero())
+    return [f] + [R.parse(f"x{i}^{q}") for i in range(1, 5)]
+
+
+@pytest.mark.parametrize("n, popped, added, leads, length", [
+    (2, 128, 47, 46, 43017),
+    (3, 810, 268, 267, 5379051),
+])
+def test_sheared_quartic_run_shape(n, popped, added, leads, length,
+                                   monkeypatch):
+    # pairs popped, elements added and leads pin the shape of the run
+    engines = []
+    run = groebner._Engine.run
+
+    def recording(self):
+        engines.append(self)
+        run(self)
+
+    monkeypatch.setattr(groebner._Engine, "run", recording)
+    gb = buchberger(_sheared_quartic(5 ** n))
+    (eng,) = engines
+    assert (eng.pairs_popped, len(eng.basis), len(gb), colength(gb)) == \
+        (popped, added, leads, length)
+
+
+def test_reduction_pushes_each_term_once(monkeypatch):
+    # a term that cancels waits in the heap at coefficient 0, and a step
+    # creates only terms below the popped one, so no term is pushed twice
+    # in one reduction
+    queued = []
+
+    def heapify(heap):
+        queued.append({t for _, t in heap})
+        heapq.heapify(heap)
+
+    def heappush(heap, item):
+        if len(item) == 2:                # a term, not a pair
+            assert item[1] not in queued[-1]
+            queued[-1].add(item[1])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(
+        heapify=heapify, heappush=heappush, heappop=heapq.heappop))
+    gb = buchberger(_sheared_quartic(25))
+    assert colength(gb) == 43017
+    assert gb.elements and len(queued) > 100
 
 
 # -- random cross-checks against independent oracles ----------------------------------

@@ -157,7 +157,6 @@ class FitReport:
     residuals: Tuple[Tuple[int, Fraction], ...]
     c_min: Fraction
     per_window: Tuple[Tuple[int, int, Fraction, Fraction], ...] = ()
-    tau_hat: Optional[float] = None
 
 
 def _residuals(entries, alpha: Fraction, beta: Fraction, d: int):

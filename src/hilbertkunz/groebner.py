@@ -6,6 +6,11 @@ syzygy modules via representation tracking through the Buchberger run,
 Krull dimensions of quotients and cokernels by the independent-set
 method on the same staircase, and matrix ranks through minors.
 
+A GroebnerBasis is its finished run: it keeps the run's one engine,
+builds its staircase from the run's live leads, and reduces in that
+engine both the normal forms it is asked for and, on the first read of
+its elements, the live tails of the reduced basis.
+
 Quotient-ring questions are handled by the callers: computations for
 R = P/Q adjoin the defining generators (times each free-module basis
 element) to the input, so this module only ever sees the polynomial ring.
@@ -22,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .poly import (ExponentOverflowError, FreeModuleElement, MonomialOrder,
                    PolyRing, Polynomial, RingMismatchError, as_vector)
@@ -194,38 +199,52 @@ class Staircase:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis with its staircase.
+    """Reduced Groebner basis: a finished run's engine and its staircase.
 
     The staircase's minimal leads are the basis' leads, so lengths,
-    dimensions and lead tests read no element.  The reduced elements are
-    built by the run's deferred tail reduction on the first read of
-    elements, and cached.
+    dimensions and lead tests read no element.  The run's live elements
+    form a Groebner basis, and a normal form does not depend on which
+    Groebner basis reduces it, so normal forms reduce in the run's engine,
+    and the reduced elements are the live tails of the minimal leads
+    reduced there on the first read of elements, and cached.
     """
 
-    __slots__ = ("ring", "rank", "order", "_elements", "_build", "_lts",
-                 "_staircase", "_reducer_cache")
+    __slots__ = ("ring", "rank", "order", "_engine", "_live", "_lts",
+                 "_staircase", "_elements")
 
-    def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 staircase: Staircase,
-                 build: Callable[[tuple], Sequence[FreeModuleElement]]):
+    def __init__(self, engine: _Engine):
+        ring, rank, order = engine.ring, engine.rank, engine.order
         self.ring = ring
         self.rank = rank
         self.order = order
+        self._engine = engine
+        # the staircase is built from the live elements alone: a retired
+        # lead is a multiple of a live one, and live leads are distinct,
+        # since a new element retires every live one that its lead divides
+        self._live = {engine.lts[k]: k
+                      for by_pos in (engine.mono_by_pos, engine.gen_by_pos)
+                      for idxs in by_pos.values() for k in idxs}
+        self._staircase = Staircase(ring, rank, self._live)
         bits = ring.mono_bits
         self._lts = tuple(sorted((pos << bits | m
-                                  for pos, monos in staircase._by_pos.items()
+                                  for pos, monos in
+                                  self._staircase._by_pos.items()
                                   for m in monos),
                                  key=ring.term_key_fn(order, rank)))
-        self._staircase = staircase
-        self._build = build           # leads -> their elements, in order
         self._elements: Optional[tuple] = None
-        self._reducer_cache = None
 
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            self._elements = tuple(self._build(self._lts))
-            self._build = None        # releases the run's engine
+            eng = self._engine
+            elements = []
+            for lt in self._lts:
+                keyed = eng.basis[self._live[lt]]
+                tail = eng.reduce(dict(zip(keyed[0::3], keyed[1::3])),
+                                  dict(zip(keyed[0::3], keyed[2::3])))
+                tail[lt] = 1
+                elements.append(FreeModuleElement(self.ring, self.rank, tail))
+            self._elements = tuple(elements)
         return self._elements
 
     def __len__(self):
@@ -242,14 +261,6 @@ class GroebnerBasis:
         bits = self.ring.mono_bits
         mask = self.ring.mono_mask
         return [(t >> bits, self.ring.unpack(t & mask)) for t in self._lts]
-
-    def _reducer(self) -> "_Engine":
-        if self._reducer_cache is None:
-            eng = _Engine(self.ring, self.rank, self.order, DEFAULT_BUDGET)
-            for g in self.elements:
-                eng.add(dict(g._d))
-            self._reducer_cache = eng
-        return self._reducer_cache
 
     def normal_form(self, f):
         return normal_form(f, self)
@@ -274,7 +285,10 @@ class GroebnerBasis:
                     if (t >> bits) == (lt >> bits) and \
                             ring.mono_divides(lt & mask, t & mask):
                         return False
-        eng = self._reducer()
+        # its own engine: the check must not trust the run's live lists
+        eng = _Engine(ring, self.rank, self.order, DEFAULT_BUDGET)
+        for g in self.elements:
+            eng.add(dict(g._d))
         for i in range(len(self)):
             for j in range(i):
                 if (self._lts[i] >> bits) != (self._lts[j] >> bits):
@@ -290,7 +304,9 @@ class GroebnerBasis:
 
 
 class _Engine:
-    """Shared machinery for Buchberger runs and normal-form reduction.
+    """One Buchberger run: its pair queue, its basis and the reduction.
+
+    A finished run's engine is kept by its GroebnerBasis.
 
     Element k is stored once: its lead is lts[k] with coefficient 1 (every
     element is monic), and basis[k] is the flat tuple (term, coeff, key,
@@ -566,36 +582,6 @@ class _Engine:
             if r:
                 self._update_pairs(self.add(r, rep, keys))
 
-    # -- canonical output ---------------------------------------------------------
-
-    def finalize(self) -> GroebnerBasis:
-        """The reduced basis: its staircase now, its tails on demand.
-
-        The staircase is built from the live elements alone: a retired
-        lead is a multiple of a live one, and live leads are distinct,
-        since a new element retires every live one that its lead divides.
-        """
-        live = {self.lts[k]: k
-                for by_pos in (self.mono_by_pos, self.gen_by_pos)
-                for idxs in by_pos.values() for k in idxs}
-
-        def reduced_elements(lts: tuple) -> list:
-            # the live elements form a Groebner basis, and normal forms
-            # modulo a Groebner basis do not depend on which basis reduces
-            # them, so reducing each kept tail once yields the reduced basis
-            elements = []
-            for lt in lts:
-                keyed = self.basis[live[lt]]
-                tail = self.reduce(dict(zip(keyed[0::3], keyed[1::3])),
-                                   dict(zip(keyed[0::3], keyed[2::3])))
-                tail[lt] = 1
-                elements.append(FreeModuleElement(self.ring, self.rank, tail))
-            return elements
-
-        return GroebnerBasis(self.ring, self.rank, self.order,
-                             Staircase(self.ring, self.rank, live),
-                             reduced_elements)
-
 
 def _normalize_gens(gens, ring: Optional[PolyRing], rank: Optional[int]):
     vecs = [as_vector(g) for g in gens]
@@ -630,7 +616,7 @@ def buchberger(gens: Iterable, order: Optional[MonomialOrder] = None, *,
         if v._d:
             eng._update_pairs(eng.add(dict(v._d)))
     eng.run()
-    return eng.finalize()
+    return GroebnerBasis(eng)
 
 
 def normal_form(f, gb: GroebnerBasis):
@@ -638,7 +624,7 @@ def normal_form(f, gb: GroebnerBasis):
     vec = as_vector(f)
     if vec.rank != gb.rank or not vec.ring.compatible(gb.ring):
         raise RingMismatchError("element does not match the basis")
-    out = gb._reducer().reduce(dict(vec._d))
+    out = gb._engine.reduce(dict(vec._d))
     if isinstance(f, Polynomial):
         return Polynomial(f.ring, out)
     return FreeModuleElement(gb.ring, gb.rank, out)

@@ -121,7 +121,7 @@ def _shared_lead_submodule(R):
     def vec(a, b):
         return FreeModuleElement.from_components(R, [R.parse(a), R.parse(b)])
     # two inputs share the minimal lead x*y in position 0; the second
-    # retires the first, and finalize reduces the live one's tail
+    # retires the first, and the basis reduces the live one's tail
     return [vec("x*y + z^2", "y"), vec("x*y", "z"), vec("0", "x^2 - y*z")]
 
 
@@ -151,7 +151,8 @@ def test_equal_and_dividing_input_leads(build):
 
 
 # the reduced bases of the builders, taken from the eager tail reduction
-# that finalize ran before elements were built on demand (the first two)
+# that ran at the end of a run before elements were built on demand (the
+# first two)
 # and from the lowest-indexed element of each lead (the third)
 EAGER_BASES = {
     _equal_and_dividing_ideal: [
@@ -173,29 +174,60 @@ def test_length_runs_build_no_reduced_basis(build, monkeypatch):
     rank = gens[0].rank if isinstance(gens[0], FreeModuleElement) else 1
     gb = buchberger(gens, ring=R, rank=rank)
     calls = []
+    engines = []
     reduce = groebner._Engine.reduce
+    init = groebner._Engine.__init__
 
-    def counting(self, work, rep=None):
+    def counting(self, work, *args, **kwargs):
         calls.append(len(work))
-        return reduce(self, work, rep)
+        return reduce(self, work, *args, **kwargs)
+
+    def building(self, *args, **kwargs):
+        engines.append(args)
+        init(self, *args, **kwargs)
 
     monkeypatch.setattr(groebner._Engine, "reduce", counting)
+    monkeypatch.setattr(groebner._Engine, "__init__", building)
     assert colength(gb) is INFINITE
     assert len(gb) == len(EAGER_BASES[build])
     assert len(gb.lead_terms()) == len(gb)
     assert not gb.contains_one()
     assert calls == []
+    # a normal form is one reduction in the run's engine: no reduced
+    # basis is read and no engine is built for it
+    for k, g in enumerate(gens, 1):
+        assert gb.contains(g)
+        assert len(calls) == k
+    x = R.parse("x")
+    outside = x if rank == 1 else FreeModuleElement.basis_vector(R, rank, 0, x)
+    assert gb.normal_form(outside) == outside
+    assert len(calls) == len(gens) + 1
+    assert engines == []
     elements = gb.elements
-    assert calls                      # the first read runs the reduction
+    assert len(calls) > len(gens) + 1     # the first read runs the reduction
     assert [str(g) for g in elements] == EAGER_BASES[build]
     done = len(calls)
     assert gb.elements is elements
     assert len(calls) == done
+    assert engines == []
+
+
+def test_verify_rejects_an_unfinished_run():
+    # the run is skipped, so the S-pair of the two elements does not reduce
+    # to zero; verify reduces it in an engine of its own
+    R = ring(5, "x", "y")
+    eng = groebner._Engine(R, 1, R.order, groebner.DEFAULT_BUDGET)
+    for f in ("x^2 - y", "x*y - 1"):
+        eng._update_pairs(eng.add(dict(R.parse(f)._d)))
+    gb = groebner.GroebnerBasis(eng)
+    assert gb_strings(gb) == ["x*y + 4", "x^2 + 4*y"]
+    assert not gb.verify()
 
 
 def test_minimal_matches_brute_force():
     # one routine drops non-minimal monomials for the staircase, the pair
-    # update and finalize; the reference compares exponent tuples directly
+    # update and the GroebnerBasis constructor; the reference compares
+    # exponent tuples directly
     rng = random.Random(1988)
     for nvars in (2, 3, 4):
         R = PolyRing(5, [f"x{i}" for i in range(nvars)])
@@ -380,8 +412,9 @@ def test_staircase_queries():
 
 
 def test_one_staircase_per_run(monkeypatch):
-    # finalize builds the run's staircase from the live elements, and
-    # colength, the dimension and staircase() all read that one
+    # the GroebnerBasis constructor builds the run's staircase from the
+    # live elements, and colength, the dimension and staircase() all read
+    # that one
     calls = []
     init = groebner.Staircase.__init__
 

@@ -449,9 +449,10 @@ _COMMANDS = {
 }
 
 # budgets: the default keeps casual runs bounded; --deep raises the pair
-# budget for the expensive high-n computations
+# and basis budgets for the expensive high-n computations
 _DEFAULT_PAIRS = 200_000
 _DEEP_PAIRS = 5_000_000
+_DEEP_BASIS = 500_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -484,7 +485,8 @@ def _make_budget(args) -> Budget:
     pairs = args.budget_pairs
     if pairs is None:
         pairs = _DEEP_PAIRS if args.deep else _DEFAULT_PAIRS
-    return Budget(max_pairs=pairs)
+    basis = _DEEP_BASIS if args.deep else Budget().max_basis
+    return Budget(max_pairs=pairs, max_basis=basis)
 
 
 def run_command(argv: List[str]) -> tuple:

@@ -25,6 +25,7 @@ inputs give identical bases.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -91,6 +92,11 @@ def _minimal(monos: Iterable[int], guards: int) -> tuple:
     return tuple(out)
 
 
+def _members(bits: int) -> list:
+    """Indices of the set bits of bits, ascending."""
+    return [k for k, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
+
+
 def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     """Standard monomials of a minimal Artinian packed staircase.
 
@@ -148,6 +154,13 @@ class Staircase:
         self._by_pos = {pos: _minimal(sorted(monos), ring.guards)
                         for pos, monos in by_pos.items()}
 
+    @classmethod
+    def _of_minimal(cls, ring: PolyRing, rank: int, by_pos: dict) -> Staircase:
+        """A staircase from per-position tuples of minimal leads, ascending."""
+        stairs = cls(ring, rank, ())
+        stairs._by_pos = by_pos
+        return stairs
+
     def colength(self):
         """Count of (position, monomial) pairs outside, or INFINITE.
 
@@ -202,11 +215,15 @@ class GroebnerBasis:
     """Reduced Groebner basis: a finished run's engine and its staircase.
 
     The staircase's minimal leads are the basis' leads, so lengths,
-    dimensions and lead tests read no element.  The run's live elements
-    form a Groebner basis, and a normal form does not depend on which
-    Groebner basis reduces it, so normal forms reduce in the run's engine,
-    and the reduced elements are the live tails of the minimal leads
-    reduced there on the first read of elements, and cached.
+    dimensions and lead tests read no element.  They are the run's live
+    leads, taken as they are: a new element retires every live one whose
+    lead its lead divides, equal leads included, and a remainder of
+    reduce has a lead that no live lead divides, so only a raw input can
+    have a live lead below its own, and the lead index finds those.  The
+    run's live elements form a Groebner basis, and a normal form does not
+    depend on which Groebner basis reduces it, so normal forms reduce in
+    the run's engine, and the reduced elements are the live tails of the
+    minimal leads reduced there on the first read of elements, and cached.
     """
 
     __slots__ = ("ring", "rank", "order", "_engine", "_live", "_lts",
@@ -218,18 +235,23 @@ class GroebnerBasis:
         self.rank = rank
         self.order = order
         self._engine = engine
-        # the staircase is built from the live elements alone: a retired
-        # lead is a multiple of a live one, and live leads are distinct,
-        # since a new element retires every live one that its lead divides
-        self._live = {engine.lts[k]: k
-                      for by_pos in (engine.mono_by_pos, engine.gen_by_pos)
-                      for idxs in by_pos.values() for k in idxs}
-        self._staircase = Staircase(ring, rank, self._live)
-        bits = ring.mono_bits
-        self._lts = tuple(sorted((pos << bits | m
-                                  for pos, monos in
-                                  self._staircase._by_pos.items()
-                                  for m in monos),
+        # a retired lead is a multiple of a live one, so the staircase is
+        # built from the live elements; a raw one whose lead has another
+        # live divisor is dropped
+        lts = engine.lts
+        mask = ring.mono_mask
+        self._live = {}
+        by_pos = {}
+        for pos, index in engine.index.items():
+            live = index.single | index.multi
+            for k in _members(index.raw & live):
+                if index.divisors(lts[k]) != 1 << k:
+                    live ^= 1 << k
+            keep = _members(live)
+            self._live.update((lts[k], k) for k in keep)
+            by_pos[pos] = tuple(sorted(lts[k] & mask for k in keep))
+        self._staircase = Staircase._of_minimal(ring, rank, by_pos)
+        self._lts = tuple(sorted(self._live,
                                  key=ring.term_key_fn(order, rank)))
         self._elements: Optional[tuple] = None
 
@@ -303,10 +325,83 @@ class GroebnerBasis:
                 f"order={self.order.name})")
 
 
+class _LeadIndex:
+    """The leads of one position's elements, as bitsets over their indices.
+
+    Bit k of each int stands for element k.  single and multi hold the
+    live single-term and multi-term elements, raw the elements added as
+    inputs rather than as remainders of reduce.  fields holds, for each
+    variable, its shift, its distinct lead exponents ascending, and
+    above, where above[j] holds the elements, live or retired, whose
+    exponent there is at least exps[j] (above[-1] is empty).  A lead
+    divides t unless, in some variable, it lies above t's exponent, and
+    it is a multiple of m when it lies at or above m's in every variable:
+    bisect each field and OR, or AND, the bitsets.
+    """
+
+    __slots__ = ("single", "multi", "raw", "fields")
+
+    def __init__(self, nvars: int):
+        self.single = self.multi = self.raw = 0
+        self.fields = [(sh, [], [0]) for sh in range(0, 16 * nvars, 16)]
+
+    def add(self, k: int, mono: int, single: bool, raw: bool):
+        """Index element k, whose lead has the monomial of mono.
+
+        Its bit goes into the bitsets of the exponents at or below its
+        own: few for the small exponents most leads have (0 in every
+        variable a lead lacks), where "at most" bitsets would take it
+        at nearly every exponent.
+        """
+        bit = 1 << k
+        for sh, exps, above in self.fields:
+            e = mono >> sh & 0xFFFF
+            j = bisect_left(exps, e)
+            if j == len(exps) or exps[j] != e:
+                exps.insert(j, e)
+                above.insert(j, above[j])
+            for i in range(j + 1):
+                above[i] |= bit
+        if single:
+            self.single |= bit
+        else:
+            self.multi |= bit
+        if raw:
+            self.raw |= bit
+
+    def divisors(self, t: int) -> int:
+        """Live elements whose lead divides the monomial of t."""
+        out = 0
+        for sh, exps, above in self.fields:
+            out |= above[bisect_right(exps, t >> sh & 0xFFFF)]
+        return (self.single | self.multi) & ~out
+
+    def reducer(self, t: int) -> int:
+        """The lowest live single-term divisor of t, else the lowest live
+        divisor, else -1."""
+        cand = self.divisors(t)
+        cand = cand & self.single or cand
+        return (cand & -cand).bit_length() - 1
+
+    def multiples(self, m: int) -> int:
+        """Live elements whose lead is a multiple of the monomial of m."""
+        out = self.single | self.multi
+        for sh, exps, above in self.fields:
+            out &= above[bisect_left(exps, m >> sh & 0xFFFF)]
+        return out
+
+
 class _Engine:
     """One Buchberger run: its pair queue, its basis and the reduction.
 
     A finished run's engine is kept by its GroebnerBasis.
+
+    Each position's live elements sit in a _LeadIndex.  reduce asks it
+    for the reducer of each term, the lowest live single-term divisor,
+    else the lowest live divisor, and the pair update for the live
+    multiples of a new lead, which retire.  pairs_popped and
+    reduction_steps (reducer lookups that found one) count the run's
+    work deterministically.
 
     Element k is stored once: its lead is lts[k] with coefficient 1 (every
     element is monic), and basis[k] is the flat tuple (term, coeff, key,
@@ -335,16 +430,13 @@ class _Engine:
         self.ltkeys: List[int] = []       # term keys of the leads
         self.ltmonos: List[int] = []
         self.one_pos: List[bool] = []     # supported on a single position
-        # live (not superseded) elements per position, in insertion order;
-        # reduce tries the single-term ones first, which takes fewer
-        # reduction steps than trying all of them in insertion order
-        self.mono_by_pos: dict = {}       # pos -> [idx of single-term elements]
-        self.gen_by_pos: dict = {}        # pos -> [idx of the rest]
+        self.index: dict = {}             # pos -> _LeadIndex of its leads
         self.track = track
         self.reps: List[dict] = []
         self.pairs: list = []             # heap of (lcm key, i, j, pos, lcm)
         self.pending: dict = {}           # (i, j) -> (pos, lcm), still queued
         self.pairs_popped = 0
+        self.reduction_steps = 0          # reducer lookups that found one
 
     # -- reduction ----------------------------------------------------------
 
@@ -374,9 +466,9 @@ class _Engine:
         lts = self.lts
         ltkeys = self.ltkeys
         basis = self.basis
-        mono_by_pos = self.mono_by_pos
-        gen_by_pos = self.gen_by_pos
+        index = self.index
         get = work.get
+        steps = 0
         out: dict = {}
         # the heap holds negated term keys, so the largest term pops first
         heap = [(-keys[t], t) for t in work]
@@ -390,33 +482,25 @@ class _Engine:
             c = work.pop(t) % p
             if not c:
                 continue
-            # the reducer: single-term elements first, then index order
-            tg = t | guards
-            pos = t >> bits
-            for k in mono_by_pos.get(pos, ()):
-                if (tg - lts[k]) & guards == guards:
-                    break
-            else:
-                for k in gen_by_pos.get(pos, ()):
-                    if (tg - lts[k]) & guards == guards:
-                        break
+            idx = index.get(t >> bits)
+            k = idx.reducer(t) if idx else -1
+            if k < 0:
+                out[t] = c
+                keys[t] = -nk
+                continue
+            steps += 1
+            u = t - lts[k]                # pure monomial shift
+            off = nk + ltkeys[k]          # heap key of tt + u is off - kg
+            it = iter(basis[k])
+            for tt, cg, kg in zip(it, it, it):
+                tt += u
+                v = get(tt)
+                if v is None:
+                    work[tt] = -c * cg
+                    push(heap, (off - kg, tt))
                 else:
-                    out[t] = c
-                    keys[t] = -nk
-                    continue
-                u = t - lts[k]            # pure monomial shift
-                off = nk + ltkeys[k]      # heap key of tt + u is off - kg
-                it = iter(basis[k])
-                for tt, cg, kg in zip(it, it, it):
-                    tt += u
-                    v = get(tt)
-                    if v is None:
-                        work[tt] = -c * cg
-                        push(heap, (off - kg, tt))
-                    else:
-                        work[tt] = v - c * cg
+                    work[tt] = v - c * cg
             if rep is not None:
-                u = t - lts[k]
                 for tr, cr in self.reps[k].items():
                     tt = tr + u
                     if tt & guards:
@@ -426,6 +510,7 @@ class _Engine:
                         rep[tt] = nc
                     else:
                         rep.pop(tt, None)
+        self.reduction_steps += steps
         return out
 
     # -- basis growth ---------------------------------------------------------
@@ -435,9 +520,12 @@ class _Engine:
         """Normalize monic, append, and index as a reducer.
 
         keys, when given, holds the term key of every term of vec, and vec
-        lists its lead first, as a remainder of reduce does.
+        lists its lead first, as a remainder of reduce does.  An element
+        added without keys is raw: no reduction vouches that no live lead
+        divides its lead (see GroebnerBasis).
         """
-        if keys is None:
+        raw = keys is None
+        if raw:
             keys = dict(zip(vec, map(self.keyf, vec)))
             lt = max(keys, key=keys.__getitem__)
         else:
@@ -462,8 +550,10 @@ class _Engine:
         self.one_pos.append(all(t >> self.bits == pos for t in vec))
         if self.track:
             self.reps.append(rep if rep is not None else {})
-        bucket = self.mono_by_pos if len(vec) == 1 else self.gen_by_pos
-        bucket.setdefault(pos, []).append(idx)
+        index = self.index.get(pos)
+        if index is None:
+            index = self.index[pos] = _LeadIndex(self.ring.nvars)
+        index.add(idx, lt, len(vec) == 1, raw)
         return idx
 
     def _update_pairs(self, t: int):
@@ -473,22 +563,21 @@ class _Engine:
         dominated new pairs are dropped, one representative survives per
         lcm (none when some representative has coprime leads), old pairs
         strictly covered by the new lead are pruned, and superseded basis
-        elements retire from pair formation and reduction (their leads
-        are multiples of the new one, so reducer coverage is preserved).
+        elements, the live multiples of the new lead in the lead index,
+        retire from pair formation and reduction (their leads are
+        multiples of the new one, so reducer coverage is preserved).
         """
         ring = self.ring
         g = self.guards
         mono_t = self.ltmonos[t]
         pos = self.lts[t] >> self.bits
-        monos = self.mono_by_pos.get(pos, [])
-        gens = self.gen_by_pos.get(pos, [])
-        active = monos + gens
-        active.remove(t)
+        index = self.index[pos]
         # candidate pairs against the live same-position elements; the
         # S-vector of two single terms is literally zero
-        partners = gens if not self.basis[t] else active
+        partners = index.multi if not self.basis[t] else \
+            index.single | index.multi
         groups: dict = {}
-        for i in partners:
+        for i in _members(partners & ~(1 << t)):
             groups.setdefault(ring.mono_lcm(self.ltmonos[i], mono_t),
                               []).append(i)
         # prune old pairs strictly covered by the new lead (chain criterion)
@@ -514,9 +603,9 @@ class _Engine:
             heapq.heappush(self.pairs, (monokey(lcm_v), i, t, pos, lcm_v))
             self.pending[(i, t)] = (pos, lcm_v)
         # retire superseded elements from pair formation and reduction
-        for i in active:
-            if ((self.ltmonos[i] | g) - mono_t) & g == g:
-                (monos if not self.basis[i] else gens).remove(i)
+        gone = index.multiples(mono_t) & ~(1 << t)
+        index.single &= ~gone
+        index.multi &= ~gone
 
     def spair(self, i: int, j: int, lcm: Optional[int] = None) -> tuple:
         """(vector, keys, rep) of the S-pair of elements i and j.

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertkunz import ParseError, parse_problem, poly
+from hilbertkunz import Budget, ParseError, cli, parse_problem, poly
 from hilbertkunz.cli import run_command
 
 QUARTIC = """\
@@ -481,6 +481,31 @@ def test_check_and_gb_runs_obey_the_pair_budget(command):
     assert report["diagnostics"]["budget"] == {
         "stage": "buchberger pairs", "limit": 0, "count": 1}
     assert report["results"] == {}
+
+
+@pytest.mark.parametrize("flags, pairs, basis", [
+    ([], 200_000, 50_000),
+    (["--deep"], 5_000_000, 500_000),
+    (["--budget-pairs", "7"], 7, 50_000),
+    (["--deep", "--budget-pairs", "7"], 7, 500_000),
+])
+def test_make_budget(flags, pairs, basis):
+    # --deep raises the basis cap with the pair cap; --budget-pairs sets
+    # only the pairs, and the default keeps Budget's basis cap
+    args = cli._build_parser().parse_args(["series", "x.hk"] + flags)
+    assert cli._make_budget(args) == Budget(max_pairs=pairs,
+                                            max_basis=basis)
+
+
+@pytest.mark.slow
+def test_determinantal_e5_fit_with_deep():
+    # 100-145 s on a 2-core machine, three quarters of it colength;
+    # the run needs 59783 basis elements, past the default cap of 50000
+    report, code = run_command(
+        ["fit", str(REPO / "problems/determinantal.hk"), "--module", "R",
+         "--ideal", "m", "--nmax", "5", "--deep"])
+    assert code == 0
+    assert report["results"]["series"]["entries"][5]["e"] == "5662429983"
 
 
 def test_missing_file():

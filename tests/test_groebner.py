@@ -225,9 +225,8 @@ def test_verify_rejects_an_unfinished_run():
 
 
 def test_minimal_matches_brute_force():
-    # one routine drops non-minimal monomials for the staircase, the pair
-    # update and the GroebnerBasis constructor; the reference compares
-    # exponent tuples directly
+    # one routine drops non-minimal monomials for the staircase and the
+    # pair update; the reference compares exponent tuples directly
     rng = random.Random(1988)
     for nvars in (2, 3, 4):
         R = PolyRing(5, [f"x{i}" for i in range(nvars)])
@@ -245,6 +244,69 @@ def test_minimal_matches_brute_force():
             want = sorted(m for m in exps
                           if not any(h != m and divides(h, m) for h in exps))
             assert list(_minimal(sorted(monos), R.guards)) == want
+
+
+@st.composite
+def lead_index_runs(draw):
+    """(ring, rank, steps): elements of an ideal or a rank-2 submodule in
+    lex or grevlex, each with whether its pair update (and so retirement)
+    runs.  Some elements repeat an earlier element shifted by a monomial,
+    which gives equal (shift 1) and dividing leads."""
+    order = draw(st.sampled_from([LEX, GREVLEX]))
+    nv = draw(st.integers(2, 3))
+    rank = draw(st.integers(1, 2))
+    R = PolyRing(3, ["x", "y", "z"][:nv], order=order)
+    exps = st.tuples(*[st.integers(0, 3)] * nv)
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        if steps and draw(st.booleans()):
+            base = draw(st.sampled_from(steps))[0]
+            u = R.pack(draw(st.tuples(*[st.integers(0, 1)] * nv)))
+            vec = {t + u: c for t, c in base.items()}
+        else:
+            terms = draw(st.lists(st.tuples(st.integers(0, rank - 1), exps,
+                                            st.integers(1, 2)),
+                                  min_size=1, max_size=3))
+            vec = {pos << R.mono_bits | R.pack(e): c for pos, e, c in terms}
+        steps.append((vec, draw(st.booleans())))
+    return R, rank, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(lead_index_runs())
+def test_lead_index_matches_a_list_scan(case):
+    # the reducer is the first live divisor, single-term elements before
+    # the rest, then in index order; a pair update retires every other
+    # live element whose lead the new lead divides
+    R, rank, steps = case
+    bits, mask = R.mono_bits, R.mono_mask
+    eng = groebner._Engine(R, rank, R.order, groebner.DEFAULT_BUDGET)
+    live = []
+
+    def divides(a, b):
+        return a >> bits == b >> bits and all(
+            x <= y for x, y in zip(R.unpack(a & mask), R.unpack(b & mask)))
+
+    probes = set()
+    for vec, update in steps:
+        k = eng.add(dict(vec))
+        lt = eng.lts[k]
+        if update:
+            eng._update_pairs(k)
+            live = [i for i in live if not divides(lt, eng.lts[i])]
+        live.append(k)
+        probes |= set(vec) | {lt + R.pack([1] * R.nvars)}
+        for t in probes:
+            index = eng.index.get(t >> bits)
+            if index is None:
+                continue
+            divisors = [i for i in live if divides(eng.lts[i], t)]
+            assert index.reducer(t) == min(
+                divisors, key=lambda i: (len(eng.basis[i]) > 0, i),
+                default=-1)
+            assert groebner._members(index.divisors(t)) == sorted(divisors)
+            assert groebner._members(index.multiples(t)) == sorted(
+                i for i in live if divides(t, eng.lts[i]))
 
 
 # -- normal forms ---------------------------------------------------------------
@@ -460,13 +522,19 @@ def _sheared_quartic(q):
     return [f] + [R.parse(f"x{i}^{q}") for i in range(1, 5)]
 
 
+# reduction steps of the same runs; unlike the shape, they change when
+# the reducer choice does
+SHEARED_QUARTIC_STEPS = {2: 3370, 3: 122756}
+
+
 @pytest.mark.parametrize("n, popped, added, leads, length", [
     (2, 128, 47, 46, 43017),
     (3, 810, 268, 267, 5379051),
 ])
 def test_sheared_quartic_run_shape(n, popped, added, leads, length,
                                    monkeypatch):
-    # pairs popped, elements added and leads pin the shape of the run
+    # pairs popped, elements added and leads pin the shape of the run, and
+    # reduction steps the reducer choice
     engines = []
     run = groebner._Engine.run
 
@@ -479,6 +547,7 @@ def test_sheared_quartic_run_shape(n, popped, added, leads, length,
     (eng,) = engines
     assert (eng.pairs_popped, len(eng.basis), len(gb), colength(gb)) == \
         (popped, added, leads, length)
+    assert eng.reduction_steps == SHEARED_QUARTIC_STEPS[n]
 
 
 def test_reduction_pushes_each_term_once(monkeypatch):

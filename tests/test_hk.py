@@ -514,7 +514,7 @@ def test_series_partial_on_budget():
 
 @pytest.mark.slow
 def test_quartic_e4():
-    # about 25 s on a 2-core machine: 5284 Buchberger pairs, a final
+    # 6-10 s on a 2-core machine: 5284 Buchberger pairs, a final
     # basis of 1727 elements
     ring = quartic_ring()
     assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 672387153
@@ -522,8 +522,8 @@ def test_quartic_e4():
 
 @pytest.mark.slow
 def test_determinantal_e4():
-    # about 15 s on a 2-core machine, most of it Buchberger; the
-    # 6809 minimal leads are counted in under 2 s
+    # 2-3 s on a 2-core machine: Buchberger about 1 s, and the 6809
+    # minimal leads are counted in 1.5-1.9 s
     ring = determinantal_ring()
     assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 69817221
 

@@ -101,7 +101,14 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     """Standard monomials of a minimal Artinian packed staircase.
 
     Slabs between consecutive exponents of the lowest field (gens[0] <=
-    0xFFFF is its pure power) times their slice counts.
+    0xFFFF is its pure power, and every other lead lies below it there)
+    times their slice counts.  The slab at cut lo is the minimal set of
+    the projections (lowest field dropped) of the leads at or below lo,
+    built from the previous slab as the cuts sweep upward: if g's
+    projection divides h's, g lies above h in the lowest field, or g
+    would divide h.  So the projections of the leads at lo are divided by
+    no older one nor by each other, and the slab is those plus the older
+    ones that none of them divides, sorted for the memo key.
     Memo keys need no level: a k-variable staircase holds a pure power
     >= 2**(16 * (k - 1)), and every value at fewer variables is below it.
     """
@@ -110,14 +117,27 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     hit = memo.get(gens)
     if hit is not None:
         return hit
-    bound = gens[0]
-    cuts = sorted({g & 0xFFFF for g in gens if g & 0xFFFF < bound} | {0})
-    cuts.append(bound)
+    at_cut: dict = {}
+    for g in gens[1:]:
+        at_cut.setdefault(g & 0xFFFF, []).append(g >> 16)
+    cuts = sorted(at_cut)                 # 0 holds the other pure powers
+    cuts.append(gens[0])
     lower = guards >> 16
+    slab: list = []
     total = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        sub = _minimal([g >> 16 for g in gens if g & 0xFFFF <= lo], lower)
-        total += (hi - lo) * _count_standard(sub, lower, memo)
+        new = at_cut[lo]
+        kept = []
+        for s in slab:
+            sg = s | lower
+            for h in new:
+                if (sg - h) & lower == lower:
+                    break
+            else:
+                kept.append(s)
+        slab = kept + new
+        slab.sort()
+        total += (hi - lo) * _count_standard(tuple(slab), lower, memo)
     memo[gens] = total
     return total
 
@@ -329,20 +349,21 @@ class _LeadIndex:
     """The leads of one position's elements, as bitsets over their indices.
 
     Bit k of each int stands for element k.  single and multi hold the
-    live single-term and multi-term elements, raw the elements added as
-    inputs rather than as remainders of reduce.  fields holds, for each
-    variable, its shift, its distinct lead exponents ascending, and
-    above, where above[j] holds the elements, live or retired, whose
-    exponent there is at least exps[j] (above[-1] is empty).  A lead
-    divides t unless, in some variable, it lies above t's exponent, and
-    it is a multiple of m when it lies at or above m's in every variable:
-    bisect each field and OR, or AND, the bitsets.
+    live single-term and multi-term elements, every holds all elements,
+    live or retired, and raw the elements added as inputs rather than as
+    remainders of reduce.  fields holds, for each variable, its shift,
+    its distinct lead exponents ascending, and above, where above[j]
+    holds the elements, live or retired, whose exponent there is at least
+    exps[j] (above[-1] is empty).  A lead divides t unless, in some
+    variable, it lies above t's exponent, and it is a multiple of m when
+    it lies at or above m's in every variable: bisect each field and OR,
+    or AND, the bitsets.
     """
 
-    __slots__ = ("single", "multi", "raw", "fields")
+    __slots__ = ("single", "multi", "every", "raw", "fields")
 
     def __init__(self, nvars: int):
-        self.single = self.multi = self.raw = 0
+        self.single = self.multi = self.every = self.raw = 0
         self.fields = [(sh, [], [0]) for sh in range(0, 16 * nvars, 16)]
 
     def add(self, k: int, mono: int, single: bool, raw: bool):
@@ -362,6 +383,7 @@ class _LeadIndex:
                 above.insert(j, above[j])
             for i in range(j + 1):
                 above[i] |= bit
+        self.every |= bit
         if single:
             self.single |= bit
         else:
@@ -369,12 +391,13 @@ class _LeadIndex:
         if raw:
             self.raw |= bit
 
-    def divisors(self, t: int) -> int:
-        """Live elements whose lead divides the monomial of t."""
+    def divisors(self, t: int, retired: bool = False) -> int:
+        """Live elements, or with retired all of them, whose lead divides
+        the monomial of t."""
         out = 0
         for sh, exps, above in self.fields:
             out |= above[bisect_right(exps, t >> sh & 0xFFFF)]
-        return (self.single | self.multi) & ~out
+        return (self.every if retired else self.single | self.multi) & ~out
 
     def reducer(self, t: int) -> int:
         """The lowest live single-term divisor of t, else the lowest live
@@ -396,10 +419,12 @@ class _Engine:
 
     A finished run's engine is kept by its GroebnerBasis.
 
-    Each position's live elements sit in a _LeadIndex.  reduce asks it
-    for the reducer of each term, the lowest live single-term divisor,
-    else the lowest live divisor, and the pair update for the live
-    multiples of a new lead, which retire.  pairs_popped and
+    Each position's elements sit in a _LeadIndex.  reduce asks it for
+    the reducer of each term, the lowest live single-term divisor, else
+    the lowest live divisor, the pair update for the live multiples of a
+    new lead, which retire, and run for the later elements whose leads
+    divide a popped pair's lcm (the chain criterion).  pairs_popped,
+    pairs_chained (pops that the chain criterion skips) and
     reduction_steps (reducer lookups that found one) count the run's
     work deterministically.
 
@@ -434,8 +459,8 @@ class _Engine:
         self.track = track
         self.reps: List[dict] = []
         self.pairs: list = []             # heap of (lcm key, i, j, pos, lcm)
-        self.pending: dict = {}           # (i, j) -> (pos, lcm), still queued
         self.pairs_popped = 0
+        self.pairs_chained = 0            # pops skipped by the chain criterion
         self.reduction_steps = 0          # reducer lookups that found one
 
     # -- reduction ----------------------------------------------------------
@@ -559,13 +584,15 @@ class _Engine:
     def _update_pairs(self, t: int):
         """Gebauer-Moeller update: queue pairs for the new element t.
 
-        Realizes the coprime-lead and chain criteria at insertion time:
-        dominated new pairs are dropped, one representative survives per
-        lcm (none when some representative has coprime leads), old pairs
-        strictly covered by the new lead are pruned, and superseded basis
+        Realizes the coprime-lead criterion and the chain criterion on
+        the new pairs at insertion time: dominated new pairs are dropped,
+        one representative survives per lcm (none when some
+        representative has coprime leads), and superseded basis
         elements, the live multiples of the new lead in the lead index,
         retire from pair formation and reduction (their leads are
         multiples of the new one, so reducer coverage is preserved).
+        Queued pairs are not scanned: the new lead's chain criterion on
+        them is applied when run pops them.
         """
         ring = self.ring
         g = self.guards
@@ -580,16 +607,6 @@ class _Engine:
         for i in _members(partners & ~(1 << t)):
             groups.setdefault(ring.mono_lcm(self.ltmonos[i], mono_t),
                               []).append(i)
-        # prune old pairs strictly covered by the new lead (chain criterion)
-        stale = []
-        for (i, j), (ppos, lcm_ij) in self.pending.items():
-            if ppos != pos or ((lcm_ij | g) - mono_t) & g != g:
-                continue
-            if ring.mono_lcm(self.ltmonos[i], mono_t) != lcm_ij and \
-                    ring.mono_lcm(self.ltmonos[j], mono_t) != lcm_ij:
-                stale.append((i, j))
-        for key in stale:
-            del self.pending[key]
         # one representative per lcm that no other candidate lcm divides;
         # none when the product criterion fires
         monokey = self.monokeyf
@@ -601,7 +618,6 @@ class _Engine:
                 continue
             i = min(idxs)
             heapq.heappush(self.pairs, (monokey(lcm_v), i, t, pos, lcm_v))
-            self.pending[(i, t)] = (pos, lcm_v)
         # retire superseded elements from pair formation and reduction
         gone = index.multiples(mono_t) & ~(1 << t)
         index.single &= ~gone
@@ -656,11 +672,35 @@ class _Engine:
 
     # -- the main loop ----------------------------------------------------------
 
+    def _chained(self, i: int, j: int, pos: int, lcm: int) -> bool:
+        """Whether an element t > j at pos, live or retired, has a lead
+        dividing lcm with lcm(i, t) and lcm(j, t) both other than lcm."""
+        later = self.index[pos].divisors(lcm, retired=True) >> (j + 1)
+        if not later:
+            return False
+        ltmonos = self.ltmonos
+        mono_lcm = self.ring.mono_lcm
+        mi, mj = ltmonos[i], ltmonos[j]
+        for k in _members(later):
+            mt = ltmonos[j + 1 + k]
+            if mono_lcm(mi, mt) != lcm and mono_lcm(mj, mt) != lcm:
+                return True
+        return False
+
     def run(self):
+        """Pop pairs, smallest lcm first, and add the nonzero remainders.
+
+        A popped pair (i, j), i < j, is skipped when _chained finds a
+        witness.  The elements t > j are exactly those added while the
+        pair was queued, so this skips the pairs that the Gebauer-Moeller
+        update would have deleted from the queue as each t arrived, and
+        the run pops the same pairs.
+        """
         while self.pairs:
             _, i, j, pos, lcm = heapq.heappop(self.pairs)
-            if self.pending.pop((i, j), None) is None:
-                continue              # pruned by a later update
+            if self._chained(i, j, pos, lcm):
+                self.pairs_chained += 1
+                continue
             self.pairs_popped += 1
             if self.pairs_popped > self.budget.max_pairs:
                 raise BudgetExceededError("buchberger pairs",

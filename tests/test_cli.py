@@ -499,8 +499,9 @@ def test_make_budget(flags, pairs, basis):
 
 @pytest.mark.slow
 def test_determinantal_e5_fit_with_deep():
-    # 100-145 s on a 2-core machine, three quarters of it colength;
-    # the run needs 59783 basis elements, past the default cap of 50000
+    # 17-25 s on a 2-core machine, nearly all of it the Buchberger run
+    # (colength 1.5 s); the run needs 59783 basis elements, past the
+    # default cap of 50000
     report, code = run_command(
         ["fit", str(REPO / "problems/determinantal.hk"), "--module", "R",
          "--ideal", "m", "--nmax", "5", "--deep"])

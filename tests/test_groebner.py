@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import pathlib
 import random
 from itertools import permutations
 from types import SimpleNamespace
@@ -15,12 +16,15 @@ from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
                          buchberger, cokernel_dimension, colength,
                          krull_dimension, matrix_rank_over_domain,
                          monomial_ideal_colength, normal_form, syzygies)
-from hilbertkunz import groebner
+from hilbertkunz import en_cyclic, groebner, parse_problem
 from hilbertkunz.groebner import _minimal
 from hilbertkunz.poly import as_vector
 
 from oracles import (box_staircase_count, dense_colength, division_remainder,
                      random_artinian_ideal, random_monomial_ideal)
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def ring(p, *names):
@@ -526,6 +530,9 @@ def _sheared_quartic(q):
 # the reducer choice does
 SHEARED_QUARTIC_STEPS = {2: 3370, 3: 122756}
 
+# pops that the chain criterion skips in the same runs
+SHEARED_QUARTIC_CHAINED = {2: 22, 3: 237}
+
 
 @pytest.mark.parametrize("n, popped, added, leads, length", [
     (2, 128, 47, 46, 43017),
@@ -533,8 +540,9 @@ SHEARED_QUARTIC_STEPS = {2: 3370, 3: 122756}
 ])
 def test_sheared_quartic_run_shape(n, popped, added, leads, length,
                                    monkeypatch):
-    # pairs popped, elements added and leads pin the shape of the run, and
-    # reduction steps the reducer choice
+    # pairs popped, elements added and leads pin the shape of the run,
+    # reduction steps the reducer choice, and chained pops the pairs the
+    # chain criterion skips
     engines = []
     run = groebner._Engine.run
 
@@ -548,6 +556,32 @@ def test_sheared_quartic_run_shape(n, popped, added, leads, length,
     assert (eng.pairs_popped, len(eng.basis), len(gb), colength(gb)) == \
         (popped, added, leads, length)
     assert eng.reduction_steps == SHEARED_QUARTIC_STEPS[n]
+    assert eng.pairs_chained == SHEARED_QUARTIC_CHAINED[n]
+
+
+@pytest.mark.parametrize("n, popped, added, leads, steps, chained, length", [
+    (2, 216, 113, 113, 112, 0, 10467),
+    (3, 1620, 815, 815, 814, 0, 858573),
+])
+def test_determinantal_run_shape(n, popped, added, leads, steps, chained,
+                                 length, monkeypatch):
+    # the run for Q + m^[q] on the shipped determinantal ring: all but
+    # the three binomials of Q are monomials, so no pair is chained
+    problem = parse_problem((REPO / "problems/determinantal.hk").read_text())
+    engines = []
+    run = groebner._Engine.run
+
+    def recording(self):
+        engines.append(self)
+        run(self)
+
+    monkeypatch.setattr(groebner._Engine, "run", recording)
+    assert en_cyclic(problem.ring, (), problem.ideals["m"], n) == length
+    eng = engines[-1]
+    assert (eng.pairs_popped, len(eng.basis),
+            len(groebner.GroebnerBasis(eng)), eng.reduction_steps) == \
+        (popped, added, leads, steps)
+    assert eng.pairs_chained == chained
 
 
 def test_reduction_pushes_each_term_once(monkeypatch):
@@ -621,6 +655,73 @@ def test_colength_matches_box_enumeration_many_variables():
         assert monomial_ideal_colength(exps, nv) == expected
         gb = buchberger([R.monomial(e) for e in exps])
         assert colength(gb) == expected
+
+
+def _minimal_exps(exps):
+    """The exponent tuples that no other one divides, duplicates once."""
+    exps = set(exps)
+    return [e for e in exps
+            if not any(d != e and all(a <= b for a, b in zip(d, e))
+                       for d in exps)]
+
+
+def _slab_heavy_exps(rng, nv, cap):
+    """(exponent tuples, bounds): pure powers, and leads at the last
+    exponents 0, 1 and 2, that field being the one _count_standard cuts.
+    Their other exponents sum to one degree less at each cut, so leads at
+    one cut do not divide each other and a later one may divide the rest
+    of an older one."""
+    bounds = [rng.randint(2, cap) for _ in range(nv)]
+    bounds[-1] = max(bounds[-1], 3)
+    exps = [tuple(b if j == i else 0 for j in range(nv))
+            for i, b in enumerate(bounds)]
+    deg = rng.randint(3, cap + 1)
+    for cut in range(3):
+        for _ in range(rng.randint(1, 5)):
+            head = [0] * (nv - 1)
+            for _ in range(deg - cut):
+                head[rng.randrange(nv - 1)] += 1
+            exps.append(tuple(head) + (cut,))
+    return exps, bounds
+
+
+def test_count_standard_sweep_matches_box_enumeration():
+    # the slabs are swept upward: many leads share each cut exponent, and
+    # a lead at a higher cut often has a projection that divides the
+    # projection of an older one, which must then leave the slab
+    rng = random.Random(1717)
+    dropped = shared = 0
+    for trial in range(60):
+        nv = 2 + trial % 5
+        cap = {2: 12, 3: 6, 4: 4, 5: 3, 6: 3}[nv]
+        R = ring(3, *[f"x{i}" for i in range(nv)])
+        exps, bounds = _slab_heavy_exps(rng, nv, cap)
+        kept = _minimal_exps(exps)
+        gens = tuple(sorted(R.pack(e) for e in kept))
+        assert groebner._count_standard(gens, R.guards, {}) == \
+            box_staircase_count(kept, bounds)
+        cuts = [e[-1] for e in kept if 0 < e[-1] < bounds[-1]]
+        shared += len(cuts) > len(set(cuts))
+        dropped += any(g[-1] < h[-1] and all(a <= b for a, b in
+                                             zip(h[:-1], g[:-1]))
+                       for g in kept for h in kept)
+    assert shared >= 30 and dropped >= 30
+
+
+def test_monomial_colength_non_minimal_input_many_variables():
+    # repeated leads, multiples of other leads and leads sharing the cut
+    # exponent, in 2 to 6 variables, through the public entry point
+    rng = random.Random(2929)
+    for trial in range(60):
+        nv = 2 + trial % 5
+        cap = {2: 12, 3: 6, 4: 4, 5: 3, 6: 3}[nv]
+        exps, bounds = _slab_heavy_exps(rng, nv, cap)
+        for e in rng.sample(exps, min(4, len(exps))):
+            exps.append(e)
+            exps.append(tuple(a + rng.randint(0, 2) for a in e))
+        rng.shuffle(exps)
+        assert monomial_ideal_colength(exps, nv) == \
+            box_staircase_count(exps, bounds)
 
 
 def _permuted(exps, perm):

@@ -514,16 +514,15 @@ def test_series_partial_on_budget():
 
 @pytest.mark.slow
 def test_quartic_e4():
-    # 6-10 s on a 2-core machine: 5284 Buchberger pairs, a final
+    # 7-10 s on a 2-core machine: 5284 Buchberger pairs, a final
     # basis of 1727 elements
     ring = quartic_ring()
     assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 672387153
 
 
-@pytest.mark.slow
 def test_determinantal_e4():
-    # 2-3 s on a 2-core machine: Buchberger about 1 s, and the 6809
-    # minimal leads are counted in 1.5-1.9 s
+    # 0.4-0.9 s on a 2-core machine: Buchberger 0.3-0.6 s, and the
+    # 6809 minimal leads are counted in 0.06-0.15 s
     ring = determinantal_ring()
     assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 69817221
 

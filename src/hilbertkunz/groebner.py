@@ -349,9 +349,8 @@ class _LeadIndex:
     """The leads of one position's elements, as bitsets over their indices.
 
     Bit k of each int stands for element k.  single and multi hold the
-    live single-term and multi-term elements, every holds all elements,
-    live or retired, and raw the elements added as inputs rather than as
-    remainders of reduce.  fields holds, for each variable, its shift,
+    live single-term and multi-term elements, and raw the elements added
+    as inputs rather than as remainders of reduce.  fields holds, for each variable, its shift,
     its distinct lead exponents ascending, and above, where above[j]
     holds the elements, live or retired, whose exponent there is at least
     exps[j] (above[-1] is empty).  A lead divides t unless, in some
@@ -360,10 +359,10 @@ class _LeadIndex:
     or AND, the bitsets.
     """
 
-    __slots__ = ("single", "multi", "every", "raw", "fields")
+    __slots__ = ("single", "multi", "raw", "fields")
 
     def __init__(self, nvars: int):
-        self.single = self.multi = self.every = self.raw = 0
+        self.single = self.multi = self.raw = 0
         self.fields = [(sh, [], [0]) for sh in range(0, 16 * nvars, 16)]
 
     def add(self, k: int, mono: int, single: bool, raw: bool):
@@ -383,7 +382,6 @@ class _LeadIndex:
                 above.insert(j, above[j])
             for i in range(j + 1):
                 above[i] |= bit
-        self.every |= bit
         if single:
             self.single |= bit
         else:
@@ -391,13 +389,12 @@ class _LeadIndex:
         if raw:
             self.raw |= bit
 
-    def divisors(self, t: int, retired: bool = False) -> int:
-        """Live elements, or with retired all of them, whose lead divides
-        the monomial of t."""
+    def divisors(self, t: int) -> int:
+        """Live elements whose lead divides the monomial of t."""
         out = 0
         for sh, exps, above in self.fields:
             out |= above[bisect_right(exps, t >> sh & 0xFFFF)]
-        return (self.every if retired else self.single | self.multi) & ~out
+        return (self.single | self.multi) & ~out
 
     def reducer(self, t: int) -> int:
         """The lowest live single-term divisor of t, else the lowest live
@@ -673,9 +670,14 @@ class _Engine:
     # -- the main loop ----------------------------------------------------------
 
     def _chained(self, i: int, j: int, pos: int, lcm: int) -> bool:
-        """Whether an element t > j at pos, live or retired, has a lead
-        dividing lcm with lcm(i, t) and lcm(j, t) both other than lcm."""
-        later = self.index[pos].divisors(lcm, retired=True) >> (j + 1)
+        """Whether a live element t > j at pos has a lead dividing lcm
+        with lcm(i, t) and lcm(j, t) both other than lcm.
+
+        Live elements suffice: a retired witness t was retired by a later
+        element u whose lead divides t's, so lcm(i, u) and lcm(j, u)
+        divide lcm(i, t) and lcm(j, t) and u is a witness too.
+        """
+        later = self.index[pos].divisors(lcm) >> (j + 1)
         if not later:
             return False
         ltmonos = self.ltmonos

@@ -655,6 +655,18 @@ def test_colength_matches_box_enumeration_many_variables():
         assert monomial_ideal_colength(exps, nv) == expected
         gb = buchberger([R.monomial(e) for e in exps])
         assert colength(gb) == expected
+    # non-minimal input in 2 to 6 variables: many leads sharing the cut
+    # exponent, plus repeated leads and multiples of them
+    for trial in range(60):
+        nv = 2 + trial % 5
+        cap = {2: 12, 3: 6, 4: 4, 5: 3, 6: 3}[nv]
+        exps, bounds = _slab_heavy_exps(rng, nv, cap)
+        for e in rng.sample(exps, min(4, len(exps))):
+            exps.append(e)
+            exps.append(tuple(a + rng.randint(0, 2) for a in e))
+        rng.shuffle(exps)
+        assert monomial_ideal_colength(exps, nv) == \
+            box_staircase_count(exps, bounds)
 
 
 def _minimal_exps(exps):
@@ -706,22 +718,6 @@ def test_count_standard_sweep_matches_box_enumeration():
                                              zip(h[:-1], g[:-1]))
                        for g in kept for h in kept)
     assert shared >= 30 and dropped >= 30
-
-
-def test_monomial_colength_non_minimal_input_many_variables():
-    # repeated leads, multiples of other leads and leads sharing the cut
-    # exponent, in 2 to 6 variables, through the public entry point
-    rng = random.Random(2929)
-    for trial in range(60):
-        nv = 2 + trial % 5
-        cap = {2: 12, 3: 6, 4: 4, 5: 3, 6: 3}[nv]
-        exps, bounds = _slab_heavy_exps(rng, nv, cap)
-        for e in rng.sample(exps, min(4, len(exps))):
-            exps.append(e)
-            exps.append(tuple(a + rng.randint(0, 2) for a in e))
-        rng.shuffle(exps)
-        assert monomial_ideal_colength(exps, nv) == \
-            box_staircase_count(exps, bounds)
 
 
 def _permuted(exps, perm):

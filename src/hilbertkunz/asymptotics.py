@@ -6,7 +6,8 @@ rendered report fields.  The leading and subleading coefficients of
 value = alpha q^d + beta q^{d-1} + O(q^{d-2}) are extracted by solving
 two-point linear systems exactly; the error-term constants are exposed as
 exact maxima, never asserted to converge, because no rate is available
-for the O(q^{d-2}) tails.
+for the O(q^{d-2}) tails.  Powers of q and p are taken over Fraction, so
+d <= 1 (negative exponents) stays exact.
 """
 
 from __future__ import annotations
@@ -163,10 +164,11 @@ def _residuals(entries, alpha: Fraction, beta: Fraction, d: int):
     res = []
     cmin = Fraction(0)
     for n, q, v in entries:
-        r = v - alpha * q ** d - beta * q ** (d - 1)
+        fq = Fraction(q)
+        r = v - alpha * fq ** d - beta * fq ** (d - 1)
         res.append((n, r))
         if n >= 1:
-            scaled = abs(r) / Fraction(q) ** (d - 2)
+            scaled = abs(r) / fq ** (d - 2)
             if scaled > cmin:
                 cmin = scaled
     return tuple(res), cmin
@@ -175,8 +177,8 @@ def _residuals(entries, alpha: Fraction, beta: Fraction, d: int):
 def _solve_two_point(by_n, n_lo: int, n_hi: int, d: int):
     (q1, v1), (q2, v2) = by_n[n_lo], by_n[n_hi]
     # divide the rows by q^{d-1}: alpha q_i + beta = v_i / q_i^{d-1}
-    r1 = Fraction(v1, q1 ** (d - 1))
-    r2 = Fraction(v2, q2 ** (d - 1))
+    r1 = v1 / Fraction(q1) ** (d - 1)
+    r2 = v2 / Fraction(q2) ** (d - 1)
     alpha = (r2 - r1) / (q2 - q1)
     beta = r1 - alpha * q1
     return alpha, beta
@@ -239,12 +241,13 @@ def tau_from_recurrence(series, d: int, p: int,
     if len(entries) < 2:
         raise ValueError("need at least two entries")
     by_n = {nn: (q, v) for nn, q, v in entries}
+    fp = Fraction(p)
     seq = []
     for nn, q, v in entries[:-1]:
         if nn + 1 not in by_n:
             continue
         _, v_next = by_n[nn + 1]
-        seq.append((nn, Fraction(v_next - p ** d * v, q ** (d - 1))))
+        seq.append((nn, (v_next - fp ** d * v) / Fraction(q) ** (d - 1)))
     if not seq:
         raise ValueError("no consecutive entries in the series")
     if n is None:
@@ -252,14 +255,14 @@ def tau_from_recurrence(series, d: int, p: int,
     chosen = dict(seq).get(n)
     if chosen is None:
         raise ValueError(f"entries n={n} and n={n + 1} are not both present")
-    beta = chosen / (p ** (d - 1) - p ** d)
+    beta = chosen / (fp ** (d - 1) - fp ** d)
     return TauEstimate(d, p, n, chosen, float(chosen), beta, float(beta),
                        tuple(seq))
 
 
 def _normalized(series, d: int) -> List[Tuple[int, Fraction]]:
     """(n, value / q^{d-1}) for each entry, exactly."""
-    return [(n, Fraction(v, q ** (d - 1))) for n, q, v in _entries(series)]
+    return [(n, v / Fraction(q) ** (d - 1)) for n, q, v in _entries(series)]
 
 
 @dataclass(frozen=True)

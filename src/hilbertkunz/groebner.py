@@ -2,9 +2,10 @@
 
 Computes reduced Groebner bases (unique for a given submodule and order),
 normal forms, colengths counted through the staircase of leading terms,
-syzygy modules via representation tracking through the Buchberger run,
-Krull dimensions of quotients and cokernels by the independent-set
-method on the same staircase, and matrix ranks through minors.
+syzygy modules from a run whose elements carry their representations in
+tag positions below the module ones, Krull dimensions of quotients and
+cokernels by the independent-set method on the same staircase, and
+matrix ranks through minors.
 
 A GroebnerBasis is its finished run: it keeps the run's one engine,
 builds its staircase from the run's live leads, and reduces in that
@@ -433,10 +434,14 @@ class _Engine:
     reduction step and the kernel calls no key function.  The kernel,
     reduce, pushes each term onto its heap once and hands add the keys
     of a remainder, lead first.
+
+    tags > 0 appends that many positions, each below every module one:
+    no lead lies there, so tag terms ride through reduce and spair as
+    tail terms, and a remainder led by one is a relation, not an element.
     """
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 budget: Budget, track: bool = False):
+                 budget: Budget, tags: int = 0):
         self.ring = ring
         self.rank = rank
         self.order = order
@@ -445,16 +450,15 @@ class _Engine:
         self.bits = ring.mono_bits
         self.mask = ring.mono_mask
         self.guards = ring.guards
-        self.keyf = ring.term_key_fn(order, rank)
+        self.top = rank << ring.mono_bits  # terms at or above are tags
+        self.keyf = ring.term_key_fn(order, rank + tags)
         self.monokeyf = ring.mono_key_fn(order)
         self.basis: List[tuple] = []      # keyed tails, see the class doc
         self.lts: List[int] = []          # packed lead terms (pos | mono)
         self.ltkeys: List[int] = []       # term keys of the leads
         self.ltmonos: List[int] = []
-        self.one_pos: List[bool] = []     # supported on a single position
+        self.one_pos: List[bool] = []     # module terms on one position
         self.index: dict = {}             # pos -> _LeadIndex of its leads
-        self.track = track
-        self.reps: List[dict] = []
         self.pairs: list = []             # heap of (lcm key, i, j, pos, lcm)
         self.pairs_popped = 0
         self.pairs_chained = 0            # pops skipped by the chain criterion
@@ -462,15 +466,14 @@ class _Engine:
 
     # -- reduction ----------------------------------------------------------
 
-    def reduce(self, work: dict, keys: Optional[dict] = None,
-               rep: Optional[dict] = None) -> dict:
+    def reduce(self, work: dict, keys: Optional[dict] = None) -> dict:
         """Divide work by the basis; returns the full remainder.
 
         The remainder lists its terms in descending order, so its lead
         comes first.  keys, when given, holds the term key of every term
-        of work, and on return those of the remainder's terms too.  When
-        rep is given it is mutated so that the representation invariant
-        (value = rep . generators) holds throughout.
+        of work, and on return those of the remainder's terms too.  Tag
+        terms have no reducer and pass to the remainder, so each element's
+        tags move with it: value = tags . inputs holds throughout.
 
         Each term enters the heap once: work holds exactly the queued
         terms, a cancelled one at coefficient 0 until it is popped, and a
@@ -522,29 +525,19 @@ class _Engine:
                     push(heap, (off - kg, tt))
                 else:
                     work[tt] = v - c * cg
-            if rep is not None:
-                for tr, cr in self.reps[k].items():
-                    tt = tr + u
-                    if tt & guards:
-                        _raise_overflow()
-                    nc = (rep.get(tt, 0) - c * cr) % p
-                    if nc:
-                        rep[tt] = nc
-                    else:
-                        rep.pop(tt, None)
         self.reduction_steps += steps
         return out
 
     # -- basis growth ---------------------------------------------------------
 
-    def add(self, vec: dict, rep: Optional[dict] = None,
-            keys: Optional[dict] = None) -> int:
+    def add(self, vec: dict, keys: Optional[dict] = None) -> int:
         """Normalize monic, append, and index as a reducer.
 
         keys, when given, holds the term key of every term of vec, and vec
         lists its lead first, as a remainder of reduce does.  An element
         added without keys is raw: no reduction vouches that no live lead
-        divides its lead (see GroebnerBasis).
+        divides its lead (see GroebnerBasis).  Whether it lies on one
+        position and has a single term is read off its module terms.
         """
         raw = keys is None
         if raw:
@@ -557,8 +550,6 @@ class _Engine:
             inv = pow(lc, self.p - 2, self.p)
             p = self.p
             vec = {t: (c * inv) % p for t, c in vec.items()}
-            if rep is not None:
-                rep = {t: (c * inv) % p for t, c in rep.items()}
         idx = len(self.basis)
         if idx >= self.budget.max_basis:
             raise BudgetExceededError("buchberger basis",
@@ -569,13 +560,12 @@ class _Engine:
         self.lts.append(lt)
         self.ltkeys.append(keys[lt])
         self.ltmonos.append(lt & self.mask)
-        self.one_pos.append(all(t >> self.bits == pos for t in vec))
-        if self.track:
-            self.reps.append(rep if rep is not None else {})
+        mods = [t >> self.bits for t in vec if t < self.top]
+        self.one_pos.append(all(q == pos for q in mods))
         index = self.index.get(pos)
         if index is None:
             index = self.index[pos] = _LeadIndex(self.ring.nvars)
-        index.add(idx, lt, len(vec) == 1, raw)
+        index.add(idx, lt, len(mods) == 1, raw)
         return idx
 
     def _update_pairs(self, t: int):
@@ -597,8 +587,8 @@ class _Engine:
         pos = self.lts[t] >> self.bits
         index = self.index[pos]
         # candidate pairs against the live same-position elements; the
-        # S-vector of two single terms is literally zero
-        partners = index.multi if not self.basis[t] else \
+        # S-vector of two single terms is zero but for tags
+        partners = index.multi if index.single >> t & 1 else \
             index.single | index.multi
         groups: dict = {}
         for i in _members(partners & ~(1 << t)):
@@ -621,13 +611,13 @@ class _Engine:
         index.multi &= ~gone
 
     def spair(self, i: int, j: int, lcm: Optional[int] = None) -> tuple:
-        """(vector, keys, rep) of the S-pair of elements i and j.
+        """(vector, keys) of the S-pair of elements i and j.
 
         vector is u_i g_i - u_j g_j scaled to cancel the (monic) leads and
         keys the term key of each of its terms: u_i g_i leads with
         (pos, lcm), so a shifted tail term's key is its stored key plus
-        key(pos | lcm) - key(lead of g_i).  rep is the same shifted
-        difference of the tracked representations, or None untracked.
+        key(pos | lcm) - key(lead of g_i).  Tag terms are tail terms, so
+        the vector carries the same difference of the representations.
         """
         ltmonos = self.ltmonos
         if lcm is None:
@@ -652,20 +642,7 @@ class _Engine:
                     keys[tt] = k + off
                 else:
                     vec.pop(tt, None)
-        if not self.track:
-            return vec, keys, None
-        rep: dict = {}
-        for e, u, sign in ((i, ui, 1), (j, uj, -1)):
-            for t, c in self.reps[e].items():
-                tt = t + u
-                if tt & guards:
-                    _raise_overflow()
-                nc = (rep.get(tt, 0) + sign * c) % p
-                if nc:
-                    rep[tt] = nc
-                else:
-                    rep.pop(tt, None)
-        return vec, keys, rep
+        return vec, keys
 
     # -- the main loop ----------------------------------------------------------
 
@@ -690,7 +667,8 @@ class _Engine:
         return False
 
     def run(self):
-        """Pop pairs, smallest lcm first, and add the nonzero remainders.
+        """Pop pairs, smallest lcm first, and add the remainders with a
+        lead at a module position (one led by a tag is a relation).
 
         A popped pair (i, j), i < j, is skipped when _chained finds a
         witness.  The elements t > j are exactly those added while the
@@ -708,10 +686,10 @@ class _Engine:
                 raise BudgetExceededError("buchberger pairs",
                                           self.budget.max_pairs,
                                           self.pairs_popped)
-            svec, keys, rep = self.spair(i, j, lcm)
-            r = self.reduce(svec, keys, rep)
-            if r:
-                self._update_pairs(self.add(r, rep, keys))
+            svec, keys = self.spair(i, j, lcm)
+            r = self.reduce(svec, keys)
+            if r and next(iter(r)) < self.top:
+                self._update_pairs(self.add(r, keys))
 
 
 def _normalize_gens(gens, ring: Optional[PolyRing], rank: Optional[int]):
@@ -801,11 +779,12 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
              budget: Optional[Budget] = None) -> list:
     """Generators of {(a_1..a_m) : sum a_i g_i = 0} in P^m.
 
-    Representation vectors are tracked through the Buchberger run; after
-    the run every same-position pair of the final basis is reduced to zero
-    and its tracked representation recorded, which by Schreyer's theorem
-    generates the full syzygy module.  The output is the reduced Groebner
-    basis of that module, so it is canonical as well as complete.
+    One run on the inputs g_i + e_(rank+i) in P^(rank+m), whose tag
+    positions lie below the module ones, so each element's tags are its
+    representation; then every same-position pair of the basis reduces to
+    tags alone, which, shifted down to P^m, generate the syzygy module by
+    Schreyer's theorem.  The output is the reduced Groebner basis of that
+    module, so it is canonical as well as complete.
     """
     budget = budget or DEFAULT_BUDGET
     if not gens:
@@ -819,10 +798,13 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
     m = len(vecs)
     bits = ring.mono_bits
     raw: List[dict] = []
-    eng = _Engine(ring, rank, ring.order, budget, track=True)
+    eng = _Engine(ring, rank, ring.order, budget, tags=m)
+    top = eng.top
     for i, v in enumerate(vecs):
         if v._d:
-            eng._update_pairs(eng.add(dict(v._d), {i << bits: 1}))
+            vec = dict(v._d)
+            vec[top + (i << bits)] = 1
+            eng._update_pairs(eng.add(vec))
         else:
             raw.append({i << bits: 1})     # a zero generator is annihilated by 1
     eng.run()
@@ -830,12 +812,11 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
         for i in range(j):
             if eng.lts[i] >> bits != eng.lts[j] >> bits:
                 continue
-            vec, keys, srep = eng.spair(i, j)
-            rem = eng.reduce(vec, keys, srep)
-            if rem:              # pragma: no cover - contradicts GB property
-                raise AssertionError("S-pair failed to reduce to zero")
-            if srep:
-                raw.append(srep)
+            rem = eng.reduce(*eng.spair(i, j))
+            if rem:
+                if next(iter(rem)) < top:  # pragma: no cover - contradicts GB
+                    raise AssertionError("S-pair failed to reduce to zero")
+                raw.append({t - top: c for t, c in rem.items()})
     if not raw:
         return []
     elems = [FreeModuleElement(ring, m, d) for d in raw]

@@ -223,6 +223,30 @@ def test_gamma_hyperplane_is_one():
     assert all(v == 1 for _, v in est.sequence)
 
 
+# -- dimension 0 ---------------------------------------------------------------------------
+
+# F_3[x,y]/(x^2, y^3) with I = m: e_0 = 1, then the whole length 6
+DIM0_SERIES = [(0, 1, 1), (1, 3, 6), (2, 9, 6)]
+
+
+def test_dimension_zero_stays_exact():
+    # at d = 0 the powers q^(d-1) and p^(d-1) have negative exponents,
+    # taken over Fraction
+    fit = fit_two_point(DIM0_SERIES, 0)
+    assert (fit.alpha, fit.beta, fit.c_min) == (6, 0, 0)
+    assert fit.residuals == ((0, -5), (1, 0), (2, 0))
+    assert fit.per_window[0][2:] == (Fraction(17, 2), Fraction(-15, 2))
+    est = tau_from_recurrence(DIM0_SERIES, 0, 3)
+    assert est.sequence == ((0, 5), (1, 0))
+    assert est.tau == 0 and est.beta_implied == 0
+    assert tau_from_delta(DIM0_SERIES, 0).sequence == ((0, 1), (1, 18),
+                                                       (2, 54))
+    assert gamma_estimate([(n, 3 ** n, 0) for n in range(3)], 0) \
+        .gamma_last == 0
+    for value in [v for _, v in fit.residuals] + [est.beta_implied]:
+        assert isinstance(value, Fraction)
+
+
 # -- residual bounds ---------------------------------------------------------------------------
 
 def test_residual_bound_exact_model():

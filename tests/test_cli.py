@@ -250,6 +250,44 @@ def test_cmd_fit_with_rank_reports_delta(tmp_path):
     assert [e["delta"] for e in delta["entries"]] == ["1", "1", "1"]
 
 
+DIM0 = """\
+ring p=3 vars=[x,y]
+quotient = [x^2, y^3]
+ideal m = [x, y]
+module R = cyclic []
+"""
+
+
+def test_cmd_fit_and_tor_in_dimension_zero(tmp_path):
+    # d = 0 takes q^(d-1) = 1/q: the fit is exact, the reports complete
+    path = write(tmp_path, DIM0)
+    report, code = run_command(
+        ["fit", path, "--module", "R", "--ideal", "m", "--nmax", "2"])
+    assert code == 0
+    assert [e["e"] for e in report["results"]["series"]["entries"]] == \
+        ["1", "6", "6"]
+    fit = report["results"]["fit"]
+    assert (fit["d"], fit["alpha"], fit["beta"]) == (0, "6", "0")
+    report, code = run_command(
+        ["tor", path, "--module", "R", "--ideal", "m", "--nmax", "2"])
+    assert code == 0
+    assert [e["value"] for e in report["results"]["gamma_sequence"]] == \
+        ["0"] * 3
+
+
+def test_cmd_fit_with_d_zero(tmp_path):
+    # e_n = q^2 fitted as alpha + beta / q over the window q = 9, 27
+    path = write(tmp_path, REGULAR)
+    report, code = run_command(
+        ["fit", path, "--module", "M", "--ideal", "I", "--nmax", "3",
+         "--d", "0"])
+    assert code == 0
+    fit = report["results"]["fit"]
+    assert (fit["d"], fit["alpha"], fit["beta"]) == (0, "1053", "-8748")
+    # tau at n = 2 is (e_3 - e_2) * q = (729 - 81) * 9
+    assert report["results"]["tau_recurrence"]["tau"] == "5832"
+
+
 def test_cmd_verify_named_form(tmp_path):
     path = write(tmp_path, QUARTIC)
     report, code = run_command(
@@ -529,9 +567,12 @@ def test_exit_exponent_overflow(tmp_path):
     ["series", "problem.hk", "--no-such-flag"],
     ["bogus", "problem.hk"],
     [],
-])
+] + [[command, "problem.hk", flag, "-1"] for command in sorted(cli._COMMANDS)
+     for flag in ("--nmax", "--budget-pairs", "--d")])
 def test_exit_usage_error_is_a_report(argv):
-    # a usage error is an input error (1), never the budget exit code (2)
+    # a usage error is an input error (1), never the budget exit code (2);
+    # a negative count is one for every command (--budget-pairs 0 is the
+    # immediate stop)
     report, code = run_command(argv)
     assert code == 1
     assert report["error"]["kind"] == "usage"

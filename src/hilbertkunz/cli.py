@@ -509,10 +509,11 @@ def _run(argv: List[str]) -> tuple:
     try:
         args = _build_parser().parse_args(argv)
         json_path = args.json
-        for flag in ("nmax", "budget_pairs", "d"):
-            if (getattr(args, flag) or 0) < 0:
-                raise _CommandError(f"--{flag.replace('_', '-')} must be "
-                                    ">= 0", kind="usage")
+        for flag, value in (("--nmax", args.nmax),
+                            ("--budget-pairs", args.budget_pairs),
+                            ("--d", args.d)):
+            if value is not None and value < 0:
+                raise _CommandError(f"{flag} must be >= 0", kind="usage")
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()

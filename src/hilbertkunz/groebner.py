@@ -435,13 +435,15 @@ class _Engine:
     reduce, pushes each term onto its heap once and hands add the keys
     of a remainder, lead first.
 
-    tags > 0 appends that many positions, each below every module one:
-    no lead lies there, so tag terms ride through reduce and spair as
-    tail terms, and a remainder led by one is a relation, not an element.
+    A term at a position >= rank, a tag, gets a key below every module
+    term (position over term counts down from position 0, and the keys
+    still add).  No lead lies at a tag, so tag terms ride through reduce
+    and spair as tail terms, and a remainder led by one is a relation,
+    not an element.
     """
 
     def __init__(self, ring: PolyRing, rank: int, order: MonomialOrder,
-                 budget: Budget, tags: int = 0):
+                 budget: Budget):
         self.ring = ring
         self.rank = rank
         self.order = order
@@ -451,7 +453,7 @@ class _Engine:
         self.mask = ring.mono_mask
         self.guards = ring.guards
         self.top = rank << ring.mono_bits  # terms at or above are tags
-        self.keyf = ring.term_key_fn(order, rank + tags)
+        self.keyf = ring.term_key_fn(order, rank)
         self.monokeyf = ring.mono_key_fn(order)
         self.basis: List[tuple] = []      # keyed tails, see the class doc
         self.lts: List[int] = []          # packed lead terms (pos | mono)
@@ -560,12 +562,13 @@ class _Engine:
         self.lts.append(lt)
         self.ltkeys.append(keys[lt])
         self.ltmonos.append(lt & self.mask)
-        mods = [t >> self.bits for t in vec if t < self.top]
-        self.one_pos.append(all(q == pos for q in mods))
+        top = self.top
+        self.one_pos.append(all(t >> self.bits == pos
+                                for t in vec if t < top))
         index = self.index.get(pos)
         if index is None:
             index = self.index[pos] = _LeadIndex(self.ring.nvars)
-        index.add(idx, lt, len(mods) == 1, raw)
+        index.add(idx, lt, sum(t < top for t in vec) == 1, raw)
         return idx
 
     def _update_pairs(self, t: int):
@@ -798,7 +801,7 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
     m = len(vecs)
     bits = ring.mono_bits
     raw: List[dict] = []
-    eng = _Engine(ring, rank, ring.order, budget, tags=m)
+    eng = _Engine(ring, rank, ring.order, budget)
     top = eng.top
     for i, v in enumerate(vecs):
         if v._d:

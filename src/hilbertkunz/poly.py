@@ -267,7 +267,9 @@ class PolyRing:
 
         Position-over-term with descending position priority: terms in
         component 0 dominate terms in component 1, and so on; ties are
-        broken by the ring order on the monomial part.
+        broken by the ring order on the monomial part.  Terms at a position
+        >= rank key below every position < rank, and keys still add: the
+        low shift bits of (rank - pos) << shift are zero, also below 0.
         """
         monokey = self.mono_key_fn(order)
         bits = self.mono_bits

@@ -298,8 +298,7 @@ def _inputs(problem: ProblemFile, args, partial) -> tuple:
 def _series(problem: ProblemFile, args, module, ideal, partial) -> HKSeries:
     """The series e_0..e_nmax; a stop raises with exc.partial = partial(s)."""
     s = series(problem.ring, module, ideal, args.nmax,
-               module_label=args.module, ideal_label=args.ideal,
-               budget=args.budget_obj)
+               module_label=args.module, ideal_label=args.ideal)
     if s.error is not None:
         exc = BudgetExceededError(**s.budget)
         exc.partial = partial(s)
@@ -357,7 +356,7 @@ def _cmd_fit(problem: ProblemFile, args) -> dict:
         for n, q, _ in s.entries:
             try:
                 value = delta_n(problem.ring, module, ideal, n,
-                                rank=args.rank, budget=args.budget_obj)
+                                rank=args.rank)
             except BudgetExceededError as exc:
                 exc.partial = out
                 raise
@@ -403,8 +402,7 @@ def _cmd_tor(problem: ProblemFile, args) -> dict:
     rows = []
     for n in range(args.nmax + 1):
         try:
-            value = tor1_length(problem.ring, module, ideal, n,
-                                budget=args.budget_obj)
+            value = tor1_length(problem.ring, module, ideal, n)
         except BudgetExceededError as exc:
             exc.partial = {"tor1": rows}
             raise
@@ -511,7 +509,7 @@ def _run(argv: List[str]) -> tuple:
         json_path = args.json
         for flag, value in (("--nmax", args.nmax),
                             ("--budget-pairs", args.budget_pairs),
-                            ("--d", args.d)):
+                            ("--d", args.d), ("--rank", args.rank)):
             if value is not None and value < 0:
                 raise _CommandError(f"{flag} must be >= 0", kind="usage")
         try:
@@ -524,12 +522,11 @@ def _run(argv: List[str]) -> tuple:
             "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "text": text,
         }
-        args.budget_obj = _make_budget(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             problem = parse_problem(text)
             # every Groebner run of the command, Q and Q + I included
-            problem.ring.budget = args.budget_obj
+            problem.ring.budget = _make_budget(args)
             report["ring"] = {
                 "p": problem.ring.p,
                 "vars": list(problem.ring.vars),

@@ -778,8 +778,7 @@ def krull_dimension(gb: GroebnerBasis) -> int:
 # -- syzygies ---------------------------------------------------------------------
 
 
-def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
-             budget: Optional[Budget] = None) -> list:
+def syzygies(gens: Sequence, *, budget: Optional[Budget] = None) -> list:
     """Generators of {(a_1..a_m) : sum a_i g_i = 0} in P^m.
 
     One run on the inputs g_i + e_(rank+i) in P^(rank+m), whose tag
@@ -792,12 +791,7 @@ def syzygies(gens: Sequence, *, ring: Optional[PolyRing] = None,
     budget = budget or DEFAULT_BUDGET
     if not gens:
         return []
-    vecs, gens_ring, rank = _normalize_gens(gens, None, None)
-    # an explicit ring is kept: its order is the engine's order
-    if ring is None:
-        ring = gens_ring
-    elif not ring.compatible(gens_ring):
-        raise RingMismatchError("generators must share ring and rank")
+    vecs, ring, rank = _normalize_gens(gens, None, None)
     m = len(vecs)
     bits = ring.mono_bits
     raw: List[dict] = []

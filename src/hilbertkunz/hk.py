@@ -25,8 +25,7 @@ from .groebner import (Budget, BudgetExceededError, GroebnerBasis, INFINITE,
                        buchberger, cokernel_dimension, colength,
                        krull_dimension, matrix_rank_over_domain, syzygies)
 from .poly import (EXP_LIMIT, ExponentOverflowError, FreeModuleElement,
-                   MonomialOrder, PolyRing, Polynomial, RingMismatchError,
-                   parse_poly)
+                   PolyRing, Polynomial, RingMismatchError, parse_poly)
 
 
 class InfiniteColengthError(ValueError):
@@ -63,16 +62,16 @@ def _coerce_polys(ring: PolyRing, gens) -> Tuple[Polynomial, ...]:
 class RingPresentation:
     """R = P/Q: characteristic, variables, and defining ideal generators.
 
-    Caches the Groebner basis of Q, the Krull dimension, and every length
-    computed over this ring, so repeated series/delta/Tor computations
-    share work.
+    Holds the budget for every Groebner run and minor expansion over it
+    (None is the default Budget): Q, Q + I, syzygies, ranks, dimensions
+    and lengths all read ring.budget.  Caches the Groebner basis of Q,
+    the Krull dimension, and every length computed over this ring, so
+    repeated series/delta/Tor computations share work.
     """
 
     def __init__(self, p: int, variables: Sequence[str], quotient=(), *,
-                 order: Optional[MonomialOrder] = None,
                  budget: Optional[Budget] = None):
-        self.ring = PolyRing(p, variables, order) if order else \
-            PolyRing(p, variables)
+        self.ring = PolyRing(p, variables)
         self.quotient = _coerce_polys(self.ring, quotient)
         _warn_if_inhomogeneous(self.quotient, "the defining ideal")
         self.budget = budget
@@ -107,24 +106,23 @@ class RingPresentation:
 
     # -- cached length computations ------------------------------------------
 
-    def _colength_of_ideal(self, gens: Sequence[Polynomial],
-                           budget: Optional[Budget]):
+    def _colength_of_ideal(self, gens: Sequence[Polynomial]):
         """Colength in P of the ideal the polynomials generate.
 
         Shares the module cache; bench/spans.py counts length requests
         through this name and _colength_of_module.
         """
-        return self._colength_of_module(_as_columns(self, gens), 1, budget)
+        return self._colength_of_module(_as_columns(self, gens), 1)
 
     def _colength_of_module(self, gens: Sequence[FreeModuleElement],
-                            rank: int, budget: Optional[Budget]):
+                            rank: int):
         """Colength in P^rank of the submodule the vectors generate."""
         gens = [g for g in dict.fromkeys(gens) if g]
         key = ("colength", rank, tuple(sorted(g.key() for g in gens)))
         hit = self._cache.get(key)
         if hit is None:
             gb = buchberger(gens, ring=self.ring, rank=rank,
-                            budget=budget or self.budget)
+                            budget=self.budget)
             hit = colength(gb)
             self._cache[key] = hit
         return hit
@@ -184,11 +182,8 @@ def bracket_power(ideal: IdealHandle, n: int) -> BracketPower:
     return BracketPower(ideal, n, q, gens)
 
 
-def check_m_primary(ideal: IdealHandle,
-                    ring: Optional[RingPresentation] = None) -> bool:
+def check_m_primary(ideal: IdealHandle) -> bool:
     """Whether R/I has finite length, i.e. colength(Q + I) is finite."""
-    if ring is not None and ring is not ideal.ring:
-        raise ValueError("ideal belongs to a different ring presentation")
     if ideal._m_primary is None:
         ideal._m_primary = colength(ideal.gb) is not INFINITE
     return ideal._m_primary
@@ -211,28 +206,27 @@ class ModulePresentation:
     """
 
     def __init__(self, kind: str, *, gens=(), columns=(), ambient_rank=1,
-                 asserted_rank: Optional[int] = None, image=None):
+                 image=None):
         if kind not in ("cyclic", "coker", "idealmod", "image"):
             raise ValueError(f"unknown module kind {kind!r}")
         self.kind = kind
         self.gens = tuple(gens)
         self.columns = tuple(columns)
         self.ambient_rank = ambient_rank
-        self.asserted_rank = asserted_rank
         # generators of the submodule this module is the image of, if any
         self.image = None if image is None else tuple(image)
 
     @classmethod
-    def cyclic(cls, ring: RingPresentation, gens=(),
-               asserted_rank: Optional[int] = None) -> "ModulePresentation":
+    def cyclic(cls, ring: RingPresentation, gens=()) -> "ModulePresentation":
         gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(gens, "a module relation")
-        return cls("cyclic", gens=gens, columns=_as_columns(ring, gens),
-                   asserted_rank=asserted_rank)
+        return cls("cyclic", gens=gens, columns=_as_columns(ring, gens))
 
     @classmethod
-    def coker(cls, ring: RingPresentation, ambient_rank: int, columns,
-              asserted_rank: Optional[int] = None) -> "ModulePresentation":
+    def coker(cls, ring: RingPresentation, ambient_rank: int,
+              columns) -> "ModulePresentation":
+        if ambient_rank < 0:
+            raise ValueError("coker needs a free module of rank >= 0")
         cols = []
         for col in columns:
             if isinstance(col, FreeModuleElement):
@@ -249,16 +243,14 @@ class ModulePresentation:
                 _warn_if_inhomogeneous(polys, "a module relation")
                 cols.append(FreeModuleElement.from_components(
                     ring.ring, polys, rank=ambient_rank))
-        return cls("coker", columns=tuple(cols), ambient_rank=ambient_rank,
-                   asserted_rank=asserted_rank)
+        return cls("coker", columns=tuple(cols), ambient_rank=ambient_rank)
 
     @classmethod
-    def ideal_as_module(cls, ring: RingPresentation, gens,
-                        asserted_rank: Optional[int] = None) -> "ModulePresentation":
+    def ideal_as_module(cls, ring: RingPresentation,
+                        gens) -> "ModulePresentation":
         gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(gens, "an ideal generator")
         return cls("idealmod", gens=gens, ambient_rank=max(len(gens), 1),
-                   asserted_rank=asserted_rank,
                    image=_as_columns(ring, gens))
 
     def __repr__(self):
@@ -308,8 +300,7 @@ def _require_finite(value, what: str) -> int:
 
 
 def _colength_mod_bracket(ring: RingPresentation, s: int, columns,
-                          ideal: IdealHandle, n: int,
-                          budget: Optional[Budget]) -> int:
+                          ideal: IdealHandle, n: int) -> int:
     """Length of coker(s, columns) / I^[q], a colength in P^s.
 
     The relation columns come first, then Q and the bracket power I^[q]
@@ -321,16 +312,16 @@ def _colength_mod_bracket(ring: RingPresentation, s: int, columns,
     gens = list(columns)
     gens += _basis_multiples(ring, ring.quotient, s)
     gens += _basis_multiples(ring, bracket.gens, s)
-    value = ring._colength_of_module(gens, s, budget)
+    value = ring._colength_of_module(gens, s)
     return _require_finite(value, "the module")
 
 
 def en_cyclic(ring: RingPresentation, relations: Sequence, ideal: IdealHandle,
-              n: int, *, budget: Optional[Budget] = None) -> int:
+              n: int) -> int:
     """e_n(R/J, I) = colength of Q + J + (generators of I)^[q] in P."""
     relations = _coerce_polys(ring.ring, relations)
     return _colength_mod_bracket(ring, 1, _as_columns(ring, relations),
-                                 ideal, n, budget)
+                                 ideal, n)
 
 
 def _basis_multiples(ring: RingPresentation, polys: Sequence[Polynomial],
@@ -344,8 +335,7 @@ def _basis_multiples(ring: RingPresentation, polys: Sequence[Polynomial],
 
 
 def _projected_syzygies(ring: RingPresentation,
-                        columns: Sequence[FreeModuleElement],
-                        budget: Optional[Budget] = None) -> list:
+                        columns: Sequence[FreeModuleElement]) -> list:
     """Syzygies over R of the given generators of a submodule of R^s.
 
     Computed in P by augmenting with the quotient generators times each
@@ -359,7 +349,7 @@ def _projected_syzygies(ring: RingPresentation,
     if hit is not None:
         return hit
     aug = list(columns) + _basis_multiples(ring, ring.quotient, s)
-    syz = syzygies(aug, ring=ring.ring, budget=budget or ring.budget)
+    syz = syzygies(aug, budget=ring.budget)
     bits = ring.ring.mono_bits
     projected = []
     for v in syz:
@@ -370,8 +360,7 @@ def _projected_syzygies(ring: RingPresentation,
     return projected
 
 
-def _cokernel(ring: RingPresentation, module: ModulePresentation,
-              budget: Optional[Budget]) -> tuple:
+def _cokernel(ring: RingPresentation, module: ModulePresentation) -> tuple:
     """(s, relation columns) presenting the module as a cokernel of R^s.
 
     An image of m generators becomes coker(m, their projected syzygies).
@@ -380,31 +369,26 @@ def _cokernel(ring: RingPresentation, module: ModulePresentation,
         return module.ambient_rank, module.columns
     if not module.image:
         return 0, ()
-    return (len(module.image),
-            _projected_syzygies(ring, module.image, budget=budget))
+    return len(module.image), _projected_syzygies(ring, module.image)
 
 
 def en_module(ring: RingPresentation, module: ModulePresentation,
-              ideal: IdealHandle, n: int, *,
-              budget: Optional[Budget] = None) -> int:
+              ideal: IdealHandle, n: int) -> int:
     """e_n(M, I) = length of M / I^[q] M for the presented module."""
-    s, columns = _cokernel(ring, module, budget)
-    return _colength_mod_bracket(ring, s, columns, ideal, n, budget)
+    s, columns = _cokernel(ring, module)
+    return _colength_mod_bracket(ring, s, columns, ideal, n)
 
 
-def module_rank(ring: RingPresentation, module: ModulePresentation, *,
-                budget: Optional[Budget] = None) -> int:
+def module_rank(ring: RingPresentation, module: ModulePresentation) -> int:
     """Generic fraction-field rank of the presented module over R.
 
     An image has the rank of its generator matrix; coker(s, columns) has
     s minus the rank of its relation matrix.  Images are not sent through
     their syzygies here: the syzygy matrix is far wider, and the minor
-    enumeration is exponential in the matrix size.  Pass asserted_rank on
-    the presentation to bypass it.  Requires Q prime, which is asserted
-    by the caller, not verified.
+    enumeration is exponential in the matrix size.  A known rank need not
+    be computed: pass rank to delta_n.  Requires Q prime, which is
+    asserted by the caller, not verified.
     """
-    if module.asserted_rank is not None:
-        return module.asserted_rank
     is_image = module.image is not None
     columns = module.image if is_image else module.columns
     if not columns:
@@ -412,41 +396,39 @@ def module_rank(ring: RingPresentation, module: ModulePresentation, *,
     qgb = ring.defining_gb if ring.quotient else None
     s = columns[0].rank
     matrix = [[col.component(i) for col in columns] for i in range(s)]
-    rank = matrix_rank_over_domain(matrix, qgb, budget=budget or ring.budget)
+    rank = matrix_rank_over_domain(matrix, qgb, budget=ring.budget)
     return rank if is_image else s - rank
 
 
 def delta_n(ring: RingPresentation, module: ModulePresentation,
-            ideal: IdealHandle, n: int, *, rank: Optional[int] = None,
-            budget: Optional[Budget] = None) -> int:
+            ideal: IdealHandle, n: int, *, rank: Optional[int] = None) -> int:
     """e_n(M) - r e_n(R), the torsion-free deviation from rank growth.
 
-    The rank is the asserted one when available, else computed through
-    minors.  Torsion-freeness of M is the caller's interpretation
-    hypothesis; the arithmetic identity holds regardless.
+    The rank is the given one when passed, else computed through minors.
+    Torsion-freeness of M is the caller's interpretation hypothesis; the
+    arithmetic identity holds regardless.
     """
     if rank is None:
-        rank = module_rank(ring, module, budget=budget)
-    e_m = en_module(ring, module, ideal, n, budget=budget)
-    e_r = en_cyclic(ring, (), ideal, n, budget=budget)
+        rank = module_rank(ring, module)
+    e_m = en_module(ring, module, ideal, n)
+    e_r = en_cyclic(ring, (), ideal, n)
     return e_m - rank * e_r
 
 
 def tor1_length(ring: RingPresentation, module: ModulePresentation,
-                ideal: IdealHandle, n: int, *,
-                budget: Optional[Budget] = None) -> int:
+                ideal: IdealHandle, n: int) -> int:
     """Length of Tor_1(T, R/I^[q]) for any presented module T.
 
     Uses the alternating-sum identity along 0 -> N -> R^s -> T -> 0 with
     coker(s, columns) the module's cokernel presentation and N the column
     module: the length equals e_n(N) + e_n(T) - s e_n(R).
     """
-    s, columns = _cokernel(ring, module, budget)
+    s, columns = _cokernel(ring, module)
     column_module = ModulePresentation("image", image=columns,
                                        ambient_rank=len(columns))
-    e_n_N = en_module(ring, column_module, ideal, n, budget=budget)
-    e_n_T = _colength_mod_bracket(ring, s, columns, ideal, n, budget)
-    e_n_R = en_cyclic(ring, (), ideal, n, budget=budget)
+    e_n_N = en_module(ring, column_module, ideal, n)
+    e_n_T = _colength_mod_bracket(ring, s, columns, ideal, n)
+    e_n_R = en_cyclic(ring, (), ideal, n)
     value = e_n_N + e_n_T - s * e_n_R
     if value < 0:        # pragma: no cover - violates the exact identity
         raise AssertionError("negative Tor length; presentation inconsistent")
@@ -455,14 +437,13 @@ def tor1_length(ring: RingPresentation, module: ModulePresentation,
 
 def series(ring: RingPresentation, module: ModulePresentation,
            ideal: IdealHandle, n_max: int, *, module_label: str = "M",
-           ideal_label: str = "I",
-           budget: Optional[Budget] = None) -> HKSeries:
+           ideal_label: str = "I") -> HKSeries:
     """The Hilbert-Kunz sequence e_0..e_{n_max}; partial on budget errors."""
     entries = []
     p = ring.p
     for n in range(n_max + 1):
         try:
-            e = en_module(ring, module, ideal, n, budget=budget)
+            e = en_module(ring, module, ideal, n)
         except BudgetExceededError as exc:
             return HKSeries(module_label, ideal_label, tuple(entries),
                             error=str(exc), failed_n=n,
@@ -477,8 +458,8 @@ class ModuleDimension:
     is_zero_module: bool
 
 
-def module_dimension(ring: RingPresentation, module: ModulePresentation, *,
-                     budget: Optional[Budget] = None) -> ModuleDimension:
+def module_dimension(ring: RingPresentation,
+                     module: ModulePresentation) -> ModuleDimension:
     """Krull dimension of the module's support, from one staircase.
 
     The leading terms of its cokernel relations plus the defining
@@ -486,7 +467,7 @@ def module_dimension(ring: RingPresentation, module: ModulePresentation, *,
     module is reported as dimension 0 with the flag set rather than a
     signed sentinel.
     """
-    s, columns = _cokernel(ring, module, budget)
+    s, columns = _cokernel(ring, module)
     dim, zero = cokernel_dimension(list(columns), s, ring.quotient, ring.ring,
-                                   budget=budget or ring.budget)
+                                   budget=ring.budget)
     return ModuleDimension(dim, zero)

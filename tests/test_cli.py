@@ -568,7 +568,7 @@ def test_exit_exponent_overflow(tmp_path):
     ["bogus", "problem.hk"],
     [],
 ] + [[command, "problem.hk", flag, "-1"] for command in sorted(cli._COMMANDS)
-     for flag in ("--nmax", "--budget-pairs", "--d")])
+     for flag in ("--nmax", "--budget-pairs", "--d", "--rank")])
 def test_exit_usage_error_is_a_report(argv):
     # a usage error is an input error (1), never the budget exit code (2);
     # a negative count is one for every command (--budget-pairs 0 is the

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from hilbertkunz import (Budget, FreeModuleElement, IdealHandle,
+from hilbertkunz import (Budget, BudgetExceededError, FreeModuleElement,
+                         IdealHandle,
                          InfiniteColengthError, ModulePresentation,
                          NonHomogeneousInputWarning, RingPresentation,
                          bracket_power, buchberger, check_m_primary, colength,
@@ -177,7 +178,7 @@ def _syzygy_columns(ring, gens):
     polys = [ring.parse(g) for g in gens]
     m = len(polys)
     cols = []
-    for v in syzygies(polys + list(ring.quotient), ring=ring.ring):
+    for v in syzygies(polys + list(ring.quotient)):
         comps = v.components()[:m]
         if any(not c.is_zero() for c in comps):
             cols.append(FreeModuleElement.from_components(ring.ring, comps))
@@ -279,6 +280,14 @@ def test_zero_module_en():
     assert en_module(ring, Z, I, 1) == 0
     Z2 = ModulePresentation.coker(ring, 1, [["1"]])
     assert en_module(ring, Z2, I, 1) == 0
+    Z0 = ModulePresentation.coker(ring, 0, [])
+    assert en_module(ring, Z0, I, 1) == 0
+
+
+def test_coker_rejects_a_negative_rank():
+    # R^-2 is no module: it used to give e_1 = 0 and rank -2
+    with pytest.raises(ValueError):
+        ModulePresentation.coker(regular_ring(3, 2), -2, [])
 
 
 def test_e0_is_length_mod_ideal():
@@ -305,16 +314,18 @@ def test_module_ranks():
     assert module_rank(ring, ModulePresentation.ideal_as_module(
         ring, ["x1", "x2"])) == 1
     assert module_rank(ring, ModulePresentation.ideal_as_module(ring, [])) == 0
-    asserted = ModulePresentation.coker(ring, 2, [], asserted_rank=2)
-    assert module_rank(ring, asserted) == 2
+    # a known rank is passed to delta_n, which then computes none
+    free = ModulePresentation.coker(ring, 2, [])
+    assert delta_n(ring, free, maximal_ideal(ring), 1, rank=2) == 0
 
 
 def test_ideal_rank_uses_the_generator_row():
     # the 1 x 6 generator row needs at most six 1 x 1 minors; presenting
     # the ideal through its 22 syzygy columns would exceed this budget
     ring = determinantal_ring()
+    ring.budget = Budget(max_minors=6)
     J = ModulePresentation.ideal_as_module(ring, list(ring.vars))
-    assert module_rank(ring, J, budget=Budget(max_minors=6)) == 1
+    assert module_rank(ring, J) == 1
 
 
 # -- delta_n ------------------------------------------------------------------------
@@ -506,10 +517,31 @@ def test_series_partial_on_budget():
     ring = quartic_ring()
     I = maximal_ideal(ring)
     M = ModulePresentation.cyclic(ring, [])
-    s = series(ring, M, I, 2, budget=Budget(max_pairs=20))
+    ring.budget = Budget(max_pairs=20)
+    s = series(ring, M, I, 2)
     assert s.error is not None
     assert s.failed_n is not None
     assert len(s.entries) == s.failed_n
+
+
+def test_ring_budget_stops_every_entry_point():
+    # the ring's budget governs every run over it, the runs for Q and
+    # Q + I included: each entry point stops at its first pair
+    ring = determinantal_ring()
+    ring.budget = Budget(max_pairs=0)
+    I = maximal_ideal(ring)
+    R = ModulePresentation.cyclic(ring, [])
+    J = ModulePresentation.ideal_as_module(ring, ["x1", "x2"])
+    for call in (lambda: module_rank(ring, J),
+                 lambda: module_dimension(ring, R),
+                 lambda: delta_n(ring, R, I, 1),
+                 lambda: tor1_length(ring, R, I, 1),
+                 lambda: check_m_primary(I)):
+        with pytest.raises(BudgetExceededError):
+            call()
+    s = series(ring, R, I, 2)
+    assert s.entries == ()
+    assert s.failed_n == 0
 
 
 @pytest.mark.slow

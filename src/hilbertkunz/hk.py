@@ -209,6 +209,8 @@ class ModulePresentation:
                  image=None):
         if kind not in ("cyclic", "coker", "idealmod", "image"):
             raise ValueError(f"unknown module kind {kind!r}")
+        if ambient_rank < 0:
+            raise ValueError("a module needs a free module of rank >= 0")
         self.kind = kind
         self.gens = tuple(gens)
         self.columns = tuple(columns)
@@ -225,8 +227,6 @@ class ModulePresentation:
     @classmethod
     def coker(cls, ring: RingPresentation, ambient_rank: int,
               columns) -> "ModulePresentation":
-        if ambient_rank < 0:
-            raise ValueError("coker needs a free module of rank >= 0")
         cols = []
         for col in columns:
             if isinstance(col, FreeModuleElement):

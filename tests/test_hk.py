@@ -288,6 +288,8 @@ def test_coker_rejects_a_negative_rank():
     # R^-2 is no module: it used to give e_1 = 0 and rank -2
     with pytest.raises(ValueError):
         ModulePresentation.coker(regular_ring(3, 2), -2, [])
+    with pytest.raises(ValueError):
+        ModulePresentation("coker", ambient_rank=-2)
 
 
 def test_e0_is_length_mod_ideal():

@@ -6,12 +6,12 @@ import warnings
 import pytest
 
 from hilbertkunz import (Budget, BudgetExceededError, FreeModuleElement,
-                         IdealHandle,
-                         InfiniteColengthError, ModulePresentation,
-                         NonHomogeneousInputWarning, RingPresentation,
-                         bracket_power, buchberger, check_m_primary, colength,
-                         delta_n, en_cyclic, en_module, module_dimension,
-                         module_rank, series, tor1_length)
+                         IdealHandle, InfiniteColengthError,
+                         ModulePresentation, NonHomogeneousInputWarning,
+                         RingPresentation, bracket_power, buchberger,
+                         check_m_primary, colength, delta_n, en_cyclic,
+                         en_module, module_dimension, module_rank, series,
+                         tor1_length)
 from hilbertkunz import ParseError, PolyRing, RingMismatchError
 
 from oracles import box_staircase_count, module_dense_colength

@@ -4,10 +4,11 @@ Library layout:
 
 - poly: prime fields, monomial orders, canonical sparse polynomials and
   free-module elements.
-- groebner: Buchberger engine, normal forms, colengths, syzygies, Krull
-  dimension, matrix ranks and cokernel dimensions.
+- groebner: Buchberger engine, normal forms, and colengths, Krull
+  dimensions and multiplicities read off one staircase; syzygies.
 - hk: ring/ideal/module presentations, Frobenius bracket powers, e_n
-  values, delta_n, Tor_1 lengths and series.
+  values, module ranks and dimensions, delta_n, Tor_1 lengths and
+  series.
 - asymptotics: exact closed-form verification and alpha/beta/tau/gamma
   extraction with residual diagnostics.
 - cli: problem files, commands and JSON reports.
@@ -20,8 +21,7 @@ from .poly import (DEGLEX, EXP_LIMIT, GREVLEX, LEX, ExponentOverflowError,
                    Polynomial, RingMismatchError, get_order, is_prime,
                    parse_poly, poly_add, poly_mul, poly_power)
 from .groebner import (Budget, BudgetExceededError, GroebnerBasis, INFINITE,
-                       Staircase, buchberger, cokernel_dimension, colength,
-                       krull_dimension, matrix_rank_over_domain,
+                       Staircase, buchberger, colength, krull_dimension,
                        monomial_ideal_colength, normal_form, syzygies)
 from .hk import (BracketPower, HKSeries, IdealHandle, InfiniteColengthError,
                  ModuleDimension, ModulePresentation,
@@ -44,9 +44,8 @@ __all__ = [
     "poly_add", "poly_mul", "poly_power",
     # groebner
     "Budget", "BudgetExceededError", "GroebnerBasis", "INFINITE", "Staircase",
-    "buchberger", "cokernel_dimension", "colength", "krull_dimension",
-    "matrix_rank_over_domain", "monomial_ideal_colength", "normal_form",
-    "syzygies",
+    "buchberger", "colength", "krull_dimension", "monomial_ideal_colength",
+    "normal_form", "syzygies",
     # hk
     "BracketPower", "HKSeries", "IdealHandle", "InfiniteColengthError",
     "ModuleDimension", "ModulePresentation", "NonHomogeneousInputWarning",

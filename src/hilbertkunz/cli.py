@@ -315,11 +315,11 @@ def _series_section(s: HKSeries) -> dict:
 
 def _cmd_check(problem: ProblemFile, args) -> dict:
     ideal = _lookup(problem.ideals, args.ideal, "ideal")
-    primary = check_m_primary(ideal)
-    value = colength(ideal.gb)
+    ring = problem.ring
+    value = ring._colength_of_ideal(ring.quotient + ideal.gens)
     return {
-        "d": problem.ring.dimension,
-        "m_primary": primary,
+        "d": ring.dimension,
+        "m_primary": value is not INFINITE,
         "colength": "INFINITE" if value is INFINITE else str(value),
     }
 

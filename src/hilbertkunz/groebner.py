@@ -3,9 +3,9 @@
 Computes reduced Groebner bases (unique for a given submodule and order),
 normal forms, colengths counted through the staircase of leading terms,
 syzygy modules from a run whose elements carry their representations in
-tag positions below the module ones, Krull dimensions of quotients and
-cokernels by the independent-set method on the same staircase, and
-matrix ranks through minors.
+tag positions below the module ones, and Krull dimensions and
+multiplicities of quotients by the independent-set method on the same
+staircase.
 
 A GroebnerBasis is its finished run: it keeps the run's one engine,
 builds its staircase from the run's live leads, and reduces in that
@@ -29,7 +29,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from .poly import (ExponentOverflowError, FreeModuleElement, MonomialOrder,
                    PolyRing, Polynomial, RingMismatchError, as_vector)
@@ -40,7 +40,6 @@ class Budget:
     """Hard limits on combinatorial blowup; exceeding them raises."""
     max_pairs: int = 2_000_000
     max_basis: int = 50_000
-    max_minors: int = 500_000
 
 
 DEFAULT_BUDGET = Budget()
@@ -159,6 +158,23 @@ def _least_used_first(gens: tuple, nvars: int) -> tuple:
                         for g in gens))
 
 
+def _artinian(gens: tuple, nvars: int) -> bool:
+    """Whether packed leads hold a pure power of each of nvars fields."""
+    return all(any(g >> sh <= 0xFFFF and not g & ((1 << sh) - 1)
+                   for g in gens) for sh in range(0, 16 * nvars, 16))
+
+
+def _independent_sets(gens: tuple, nvars: int, size: int):
+    """The variable sets of the given size, as index tuples, that contain
+    the support (nonzero 16-bit fields) of no packed lead."""
+    supports = {sum(1 << i for i in range(nvars) if g >> 16 * i & 0xFFFF)
+                for g in gens}
+    for free in combinations(range(nvars), size):
+        mask = sum(1 << i for i in free)
+        if all(s & ~mask for s in supports):
+            yield free
+
+
 class Staircase:
     """Leading-term submodule of a basis: minimal packed leads per position."""
 
@@ -190,15 +206,13 @@ class Staircase:
         describes a staircase, not the ring's variable names.
         """
         nv = self.ring.nvars
-        fields = range(0, self.ring.mono_bits, 16)
         memo: dict = {}
         total = 0
         for pos in range(self.rank):
             gens = self._by_pos.get(pos, ())
             if gens and gens[0] == 0:
                 continue                  # the unit: nothing lies outside
-            if not all(any(g >> sh <= 0xFFFF and not g & ((1 << sh) - 1)
-                           for g in gens) for sh in fields):
+            if not _artinian(gens, nv):
                 return INFINITE           # some variable has no pure power
             total += _count_standard(_least_used_first(gens, nv),
                                      self.ring.guards, memo)
@@ -221,15 +235,46 @@ class Staircase:
                 return nv
             if gens[0] == 0:
                 continue                  # the unit: nothing lies outside
-            supports = {sum(1 << i for i in range(nv) if g >> 16 * i & 0xFFFF)
-                        for g in gens}
             for size in range(nv, best, -1):
-                if any(all(s & ~free for s in supports)
-                       for free in (sum(1 << i for i in c)
-                                    for c in combinations(range(nv), size))):
+                if next(_independent_sets(gens, nv, size), None) is not None:
                     best = size
                     break
         return best
+
+    def multiplicity(self, d: int) -> int:
+        """Degree-d multiplicity of P^rank / submodule: 0 below dimension d.
+
+        A position without leads counts 1 when d = nvars.  Otherwise each
+        variable set S of size d that contains the support of no minimal
+        lead there adds the colength of those leads with the S-variables
+        set to 1 (the length at the prime of the other variables).  For a
+        degree-compatible order this is the multiplicity of the module
+        itself.  An infinite colength, or a free position below nvars,
+        means dimension above d and raises ValueError.
+        """
+        nv = self.ring.nvars
+        k = nv - d
+        guards = sum(0x8000 << 16 * j for j in range(k))
+        memo: dict = {}
+        total = 0
+        for pos in range(self.rank):
+            gens = self._by_pos.get(pos, ())
+            if not gens and k:
+                raise ValueError(f"a free position has dimension {nv} > {d}")
+            if not gens:
+                total += 1
+                continue
+            for free in _independent_sets(gens, nv, d):
+                kept = [i for i in range(nv) if i not in free]
+                moves = [(16 * i, 16 * j) for j, i in enumerate(kept)]
+                rest = _minimal(sorted(
+                    sum((g >> src & 0xFFFF) << dst for src, dst in moves)
+                    for g in gens), guards)
+                if not _artinian(rest, k):
+                    raise ValueError(f"the staircase has dimension above {d}")
+                total += _count_standard(_least_used_first(rest, k), guards,
+                                         memo)
+        return total
 
 
 class GroebnerBasis:
@@ -272,8 +317,10 @@ class GroebnerBasis:
             self._live.update((lts[k], k) for k in keep)
             by_pos[pos] = tuple(sorted(lts[k] & mask for k in keep))
         self._staircase = Staircase._of_minimal(ring, rank, by_pos)
-        self._lts = tuple(sorted(self._live,
-                                 key=ring.term_key_fn(order, rank)))
+        # sorted by the keys the run stored: keys add under shifts, so a
+        # stored key is the key of its lead
+        self._lts = tuple(lts[k] for k in sorted(
+            self._live.values(), key=engine.ltkeys.__getitem__))
         self._elements: Optional[tuple] = None
 
     @property
@@ -818,106 +865,3 @@ def syzygies(gens: Sequence, *, budget: Optional[Budget] = None) -> list:
         return []
     elems = [FreeModuleElement(ring, m, d) for d in raw]
     return list(buchberger(elems, ring=ring, rank=m, budget=budget).elements)
-
-
-# -- matrix rank and cokernel dimension over P/Q -----------------------------------
-
-
-def _minor_determinant(matrix, rows: tuple, cols: tuple, ring: PolyRing,
-                       memo: dict, counter: list, budget: Budget) -> Polynomial:
-    """Laplace expansion along the first row with memoized submatrices."""
-    key = (rows, cols)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    counter[0] += 1
-    if counter[0] > budget.max_minors:
-        raise BudgetExceededError("minor expansion", budget.max_minors,
-                                  counter[0])
-    if len(rows) == 1:
-        det = matrix[rows[0]][cols[0]]
-    else:
-        det = ring.zero()
-        r0 = rows[0]
-        rest = rows[1:]
-        for idx, c in enumerate(cols):
-            entry = matrix[r0][c]
-            if entry.is_zero():
-                continue
-            sub = _minor_determinant(matrix, rest, cols[:idx] + cols[idx + 1:],
-                                     ring, memo, counter, budget)
-            term = entry * sub
-            det = det + term if idx % 2 == 0 else det - term
-    memo[key] = det
-    return det
-
-
-def _as_matrix(matrix) -> Tuple[list, PolyRing]:
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        raise ValueError("matrix must be nonempty")
-    width = len(rows[0])
-    ring = rows[0][0].ring
-    for r in rows:
-        if len(r) != width:
-            raise ValueError("ragged matrix")
-        for entry in r:
-            if not entry.ring.compatible(ring):
-                raise RingMismatchError("matrix entries from different rings")
-    return rows, ring
-
-
-def matrix_rank_over_domain(matrix,
-                            quotient_gb: Optional[GroebnerBasis] = None, *,
-                            budget: Optional[Budget] = None) -> int:
-    """Rank of a matrix of ring elements over Frac(P/Q), Q assumed prime.
-
-    The rank is the largest t with some t x t minor whose normal form
-    modulo Q is nonzero.  Primality of Q is the caller's assertion; it is
-    what makes "nonzero mod Q" mean "invertible in the fraction field".
-    """
-    budget = budget or DEFAULT_BUDGET
-    rows, ring = _as_matrix(matrix)
-    nr, nc = len(rows), len(rows[0])
-    memo: dict = {}
-    counter = [0]
-
-    def nonzero(f: Polynomial) -> bool:
-        if f.is_zero():
-            return False
-        if quotient_gb is None or not len(quotient_gb):
-            return True
-        return not quotient_gb.contains(f)
-
-    for t in range(min(nr, nc), 0, -1):
-        for rsub in combinations(range(nr), t):
-            for csub in combinations(range(nc), t):
-                det = _minor_determinant(rows, rsub, csub, ring, memo,
-                                         counter, budget)
-                if nonzero(det):
-                    return t
-    return 0
-
-
-def cokernel_dimension(columns: Sequence[FreeModuleElement],
-                       ambient_rank: int,
-                       quotient_gens: Sequence[Polynomial],
-                       ring: PolyRing, *,
-                       order: Optional[MonomialOrder] = None,
-                       budget: Optional[Budget] = None) -> Tuple[int, bool]:
-    """(dim, is_zero_module) for coker of the columns inside (P/Q)^rank.
-
-    One Groebner basis in P^rank of the columns plus the quotient
-    generators times each basis vector; the dimension is its staircase's,
-    and the module is zero exactly when every position holds the unit.
-    The zero module is reported as dimension 0 with the flag set.
-    """
-    if ambient_rank == 0:
-        return 0, True
-    relations = list(columns) + [
-        FreeModuleElement.basis_vector(ring, ambient_rank, i, qg)
-        for qg in quotient_gens for i in range(ambient_rank)]
-    gb = buchberger(relations, order, ring=ring, rank=ambient_rank,
-                    budget=budget)
-    units = sum(not any(exps) for _, exps in gb.lead_terms())
-    return gb.staircase().dimension(), units == ambient_rank

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .groebner import (Budget, BudgetExceededError, GroebnerBasis, INFINITE,
-                       buchberger, cokernel_dimension, colength,
-                       krull_dimension, matrix_rank_over_domain, syzygies)
+                       buchberger, colength, krull_dimension, syzygies)
 from .poly import (EXP_LIMIT, ExponentOverflowError, FreeModuleElement,
                    PolyRing, Polynomial, RingMismatchError, parse_poly)
 
@@ -62,11 +61,11 @@ def _coerce_polys(ring: PolyRing, gens) -> Tuple[Polynomial, ...]:
 class RingPresentation:
     """R = P/Q: characteristic, variables, and defining ideal generators.
 
-    Holds the budget for every Groebner run and minor expansion over it
-    (None is the default Budget): Q, Q + I, syzygies, ranks, dimensions
-    and lengths all read ring.budget.  Caches the Groebner basis of Q,
-    the Krull dimension, and every length computed over this ring, so
-    repeated series/delta/Tor computations share work.
+    Holds the budget for every Groebner run over it (None is the default
+    Budget): Q, Q + I, syzygies, ranks, dimensions and lengths all read
+    ring.budget.  Caches the Groebner basis of Q, the Krull dimension,
+    and every length computed over this ring, so repeated
+    series/delta/Tor computations share work.
     """
 
     def __init__(self, p: int, variables: Sequence[str], quotient=(), *,
@@ -109,8 +108,9 @@ class RingPresentation:
     def _colength_of_ideal(self, gens: Sequence[Polynomial]):
         """Colength in P of the ideal the polynomials generate.
 
-        Shares the module cache; bench/spans.py counts length requests
-        through this name and _colength_of_module.
+        Shares the module cache, so the m-primary check of Q + I is the
+        e_0 of R/I; bench/spans.py counts length requests through this
+        name and _colength_of_module.
         """
         return self._colength_of_module(_as_columns(self, gens), 1)
 
@@ -134,14 +134,13 @@ class RingPresentation:
 
 
 class IdealHandle:
-    """An ideal I of R with its cached Groebner data and m-primary flag."""
+    """An ideal I of R with its cached Groebner basis of Q + I."""
 
     def __init__(self, ring: RingPresentation, gens):
         self.ring = ring
         self.gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(self.gens, "an ideal generator")
         self._gb: Optional[GroebnerBasis] = None
-        self._m_primary: Optional[bool] = None
 
     @property
     def gb(self) -> GroebnerBasis:
@@ -183,10 +182,13 @@ def bracket_power(ideal: IdealHandle, n: int) -> BracketPower:
 
 
 def check_m_primary(ideal: IdealHandle) -> bool:
-    """Whether R/I has finite length, i.e. colength(Q + I) is finite."""
-    if ideal._m_primary is None:
-        ideal._m_primary = colength(ideal.gb) is not INFINITE
-    return ideal._m_primary
+    """Whether R/I has finite length, i.e. colength(Q + I) is finite.
+
+    The colength is the ring's cached one, which e_0 reads again.
+    """
+    ring = ideal.ring
+    value = ring._colength_of_ideal(ring.quotient + ideal.gens)
+    return value is not INFINITE
 
 
 class ModulePresentation:
@@ -202,17 +204,22 @@ class ModulePresentation:
     ring, never at construction.
 
     kind labels the declared shape: "cyclic", "coker", "idealmod", or
-    "image" for the column module that tor1_length builds.
+    "image" for the column module that tor1_length builds.  An idealmod
+    or image module is given by its image alone, the others by their
+    columns; gens are read off the one presentation.
     """
 
-    def __init__(self, kind: str, *, gens=(), columns=(), ambient_rank=1,
+    def __init__(self, kind: str, *, columns=(), ambient_rank=1,
                  image=None):
         if kind not in ("cyclic", "coker", "idealmod", "image"):
             raise ValueError(f"unknown module kind {kind!r}")
         if ambient_rank < 0:
             raise ValueError("a module needs a free module of rank >= 0")
+        by_image = kind in ("idealmod", "image")
+        if by_image != (image is not None) or (by_image and columns):
+            given = "its image" if by_image else "its columns"
+            raise ValueError(f"kind {kind!r} is given by {given} alone")
         self.kind = kind
-        self.gens = tuple(gens)
         self.columns = tuple(columns)
         self.ambient_rank = ambient_rank
         # generators of the submodule this module is the image of, if any
@@ -222,7 +229,7 @@ class ModulePresentation:
     def cyclic(cls, ring: RingPresentation, gens=()) -> "ModulePresentation":
         gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(gens, "a module relation")
-        return cls("cyclic", gens=gens, columns=_as_columns(ring, gens))
+        return cls("cyclic", columns=_as_columns(ring, gens))
 
     @classmethod
     def coker(cls, ring: RingPresentation, ambient_rank: int,
@@ -250,8 +257,17 @@ class ModulePresentation:
                         gens) -> "ModulePresentation":
         gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(gens, "an ideal generator")
-        return cls("idealmod", gens=gens, ambient_rank=max(len(gens), 1),
+        return cls("idealmod", ambient_rank=max(len(gens), 1),
                    image=_as_columns(ring, gens))
+
+    @property
+    def gens(self) -> Tuple[Polynomial, ...]:
+        """The polynomials of a cyclic or idealmod module, else ()."""
+        if self.kind == "cyclic":
+            return tuple(col.component(0) for col in self.columns)
+        if self.kind == "idealmod":
+            return tuple(g.component(0) for g in self.image)
+        return ()
 
     def __repr__(self):
         if self.kind in ("cyclic", "idealmod"):
@@ -379,32 +395,61 @@ def en_module(ring: RingPresentation, module: ModulePresentation,
     return _colength_mod_bracket(ring, s, columns, ideal, n)
 
 
+def _relations(ring: RingPresentation, s: int,
+               columns: Sequence[FreeModuleElement]) -> GroebnerBasis:
+    """Groebner basis in P^s of the columns plus Q times each basis vector:
+    the relations of coker(s, columns) over R, for s >= 1."""
+    gens = list(columns) + _basis_multiples(ring, ring.quotient, s)
+    return buchberger(gens, ring=ring.ring, rank=s, budget=ring.budget)
+
+
+def _coker_rank(ring: RingPresentation, s: int, columns) -> int:
+    """Rank of coker(s, columns) over R = P/Q, a domain of dimension d.
+
+    Under the module order (position over term) the staircase at
+    position i is that of the ideal J_i of the i-th components of the
+    relations that vanish at the positions above i, and the module has a
+    filtration with factors P/J_i, R-modules since Q lies in J_i.  A
+    factor has rank 1 and multiplicity e_d(R) when J_i = Q, and else
+    rank 0 and dimension below d.  The ring's order is degree-compatible,
+    so multiplicities are read off the leads, and the rank is the
+    staircase's degree-d multiplicity over Q's.  A ratio that is not an
+    integer means Q is not prime.
+    """
+    if s == 0:
+        return 0
+    d = ring.dimension
+    e_r = ring.defining_gb.staircase().multiplicity(d)
+    e_m = _relations(ring, s, columns).staircase().multiplicity(d)
+    if not e_r or e_m % e_r:
+        raise ValueError(f"multiplicity {e_m} is not a multiple of the "
+                         f"ring's {e_r}: the defining ideal is not prime")
+    return e_m // e_r
+
+
 def module_rank(ring: RingPresentation, module: ModulePresentation) -> int:
     """Generic fraction-field rank of the presented module over R.
 
-    An image has the rank of its generator matrix; coker(s, columns) has
-    s minus the rank of its relation matrix.  Images are not sent through
-    their syzygies here: the syzygy matrix is far wider, and the minor
-    enumeration is exponential in the matrix size.  A known rank need not
-    be computed: pass rank to delta_n.  Requires Q prime, which is
-    asserted by the caller, not verified.
+    coker(s, columns) has the rank of its relations' staircase (see
+    _coker_rank).  An image of generators in R^t has rank t minus that of
+    coker(t, generators), so no syzygies are computed.  A known rank need
+    not be computed: pass rank to delta_n.  Requires Q prime, which is
+    asserted by the caller; a multiplicity that is not a multiple of R's
+    raises ValueError.
     """
-    is_image = module.image is not None
-    columns = module.image if is_image else module.columns
-    if not columns:
-        return 0 if is_image else module.ambient_rank
-    qgb = ring.defining_gb if ring.quotient else None
-    s = columns[0].rank
-    matrix = [[col.component(i) for col in columns] for i in range(s)]
-    rank = matrix_rank_over_domain(matrix, qgb, budget=ring.budget)
-    return rank if is_image else s - rank
+    if module.image is None:
+        return _coker_rank(ring, module.ambient_rank, module.columns)
+    if not module.image:
+        return 0
+    t = module.image[0].rank
+    return t - _coker_rank(ring, t, module.image)
 
 
 def delta_n(ring: RingPresentation, module: ModulePresentation,
             ideal: IdealHandle, n: int, *, rank: Optional[int] = None) -> int:
     """e_n(M) - r e_n(R), the torsion-free deviation from rank growth.
 
-    The rank is the given one when passed, else computed through minors.
+    The rank is the given one when passed, else module_rank's.
     Torsion-freeness of M is the caller's interpretation hypothesis; the
     arithmetic identity holds regardless.
     """
@@ -462,12 +507,15 @@ def module_dimension(ring: RingPresentation,
                      module: ModulePresentation) -> ModuleDimension:
     """Krull dimension of the module's support, from one staircase.
 
-    The leading terms of its cokernel relations plus the defining
-    generators times each basis vector give the dimension.  The zero
-    module is reported as dimension 0 with the flag set rather than a
-    signed sentinel.
+    The staircase of its cokernel relations plus the defining generators
+    times each basis vector gives the dimension, and the module is zero
+    exactly when every position holds the unit.  The zero module is
+    reported as dimension 0 with the flag set rather than a signed
+    sentinel.
     """
     s, columns = _cokernel(ring, module)
-    dim, zero = cokernel_dimension(list(columns), s, ring.quotient, ring.ring,
-                                   budget=ring.budget)
-    return ModuleDimension(dim, zero)
+    if s == 0:
+        return ModuleDimension(0, True)
+    gb = _relations(ring, s, columns)
+    units = sum(not any(exps) for _, exps in gb.lead_terms())
+    return ModuleDimension(gb.staircase().dimension(), units == s)

@@ -13,7 +13,7 @@ known) and avoid constant terms (so the instances are not trivially the
 unit ideal).
 """
 
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, List, Sequence
 
 
@@ -236,3 +236,36 @@ def module_dense_colength(vectors, rank: int,
             if row:
                 rows.append(row)
     return len(index) - gauss_rank_mod_p(rows, p)
+
+
+def minors_rank(matrix, quotient_basis, order: str = "grevlex") -> int:
+    """Rank over Frac(P/Q) of a matrix of polynomials, Q prime.
+
+    The rank is the largest t with a t x t minor outside Q.  Minors come
+    from Laplace expansion, and quotient_basis must be a Groebner basis
+    of Q in the order (one generator always is), so that a minor lies in
+    Q exactly when its division remainder is zero.
+    """
+    rows, cols = len(matrix), len(matrix[0])
+    p = matrix[0][0].ring.p
+
+    def as_dict(f):
+        return {(0, exps): c for exps, c in f.terms()}
+
+    basis = [as_dict(g) for g in quotient_basis]
+
+    def det(rs, cs):
+        if len(rs) == 1:
+            return matrix[rs[0]][cs[0]]
+        out = matrix[0][0].ring.zero()
+        for k, c in enumerate(cs):
+            term = matrix[rs[0]][c] * det(rs[1:], cs[:k] + cs[k + 1:])
+            out = out - term if k % 2 else out + term
+        return out
+
+    for t in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), t):
+            for cs in combinations(range(cols), t):
+                if division_remainder(as_dict(det(rs, cs)), basis, order, p):
+                    return t
+    return 0

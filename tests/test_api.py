@@ -3,6 +3,7 @@ settings have one route."""
 
 import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import hilbertkunz
@@ -13,7 +14,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the names README lists as exported beside the quick tour
 LISTED = ["delta_n", "tor1_length", "module_rank", "module_dimension",
           "buchberger", "normal_form", "colength", "syzygies",
-          "krull_dimension", "matrix_rank_over_domain"]
+          "krull_dimension"]
 
 
 def test_every_name_in_all_resolves():
@@ -44,6 +45,16 @@ REMOVED = {
                       hk.ModulePresentation.coker,
                       hk.ModulePresentation.ideal_as_module],
 }
+
+
+# every rank and module dimension comes from the one staircase: the
+# minor enumeration, its budget and the second relation builder are gone
+GONE = ["cokernel_dimension", "matrix_rank_over_domain"]
+
+
+def test_removed_routes_stay_removed():
+    assert [name for name in GONE if name in hilbertkunz.__all__] == []
+    assert "max_minors" not in {f.name for f in fields(hilbertkunz.Budget)}
 
 
 def test_one_route_for_run_settings():

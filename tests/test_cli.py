@@ -7,7 +7,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertkunz import Budget, ParseError, cli, parse_problem, poly
+from hilbertkunz import Budget, ParseError, cli, hk, parse_problem, poly
 from hilbertkunz.cli import run_command
 
 QUARTIC = """\
@@ -502,6 +502,22 @@ def test_budget_stop_before_the_first_entry_keeps_empty_results(tmp_path):
         assert report["results"] == results
         assert report["diagnostics"]["budget"] == {
             "stage": "buchberger pairs", "limit": 0, "count": 1}
+
+
+def test_m_primary_check_is_the_e0_run(tmp_path, monkeypatch):
+    # the check and e_0 of R/I read the ring's one colength of Q + I, and
+    # a budget stop in the check is still a stop at n = 0
+    runs = []
+    run = hk.buchberger
+    monkeypatch.setattr(hk, "buchberger",
+                        lambda *args, **kw: runs.append(1) or run(*args, **kw))
+    path = write(tmp_path, QUARTIC)
+    args = [path, "--module", "M", "--ideal", "I"]
+    report, code = run_command(["series"] + args + ["--nmax", "0"])
+    assert code == 0 and len(runs) == 1
+    report, code = run_command(["fit"] + args + ["--budget-pairs", "0"])
+    assert code == 2 and len(runs) == 2
+    assert report["results"]["series"]["failed_n"] == 0
 
 
 @pytest.mark.parametrize("command", [["check", "--ideal", "m"], ["gb"],

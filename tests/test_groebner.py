@@ -4,6 +4,7 @@ import gc
 import heapq
 import pathlib
 import random
+import warnings
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -12,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from hilbertkunz import (Budget, BudgetExceededError, DEGLEX, GREVLEX,
                          INFINITE, LEX, ExponentOverflowError,
-                         FreeModuleElement, PolyRing,
-                         buchberger, cokernel_dimension, colength,
-                         krull_dimension, matrix_rank_over_domain,
+                         FreeModuleElement, ModulePresentation,
+                         NonHomogeneousInputWarning, PolyRing,
+                         RingPresentation, buchberger, colength,
+                         krull_dimension, module_dimension, module_rank,
                          monomial_ideal_colength, normal_form, syzygies)
 from hilbertkunz import en_cyclic, groebner, parse_problem
-from hilbertkunz.groebner import _minimal
+from hilbertkunz.groebner import Staircase, _minimal
 from hilbertkunz.poly import as_vector
 
 from oracles import (box_staircase_count, dense_colength, division_remainder,
@@ -815,6 +817,63 @@ def test_dimension_of_a_module_is_the_maximum_over_positions():
                                       rank=2)) == 1
 
 
+# -- multiplicity ------------------------------------------------------------------
+
+def test_multiplicity_of_hypersurfaces_and_the_determinantal_ring():
+    # a hypersurface of degree k has multiplicity k, and the 2 x 2 minors
+    # of a generic 2 x 3 matrix cut out a variety of degree 3
+    R = ring(5, "x1", "x2", "x3", "x4")
+    for f, k in (("x1^4 + x2^4 + x3^4 + x4^4", 4), ("x1*x2 - x3^2", 2),
+                 ("x1^3*x2 + x4^2", 4)):
+        assert buchberger([R.parse(f)]).staircase().multiplicity(3) == k
+    D = ring(3, "x1", "x2", "x3", "x4", "x5", "x6")
+    gb = buchberger([D.parse("x1*x5 - x2*x4"), D.parse("x1*x6 - x3*x4"),
+                     D.parse("x2*x6 - x3*x5")])
+    assert gb.staircase().multiplicity(4) == 3
+
+
+def test_multiplicity_sums_positions_of_the_top_dimension():
+    R = ring(5, "x", "y", "z")
+    # e_0: x*y (two planes), e_1: x (dimension 2, degree 1), e_2: x, y
+    # (dimension 1, below 2), and at rank 4, e_3 free
+    per_pos = [["x*y"], ["x"], ["x", "y"]]
+
+    def stairs(rank):
+        gens = [FreeModuleElement.basis_vector(R, rank, pos, R.parse(f))
+                for pos, fs in enumerate(per_pos) for f in fs]
+        return buchberger(gens, ring=R, rank=rank).staircase()
+
+    assert stairs(3).multiplicity(2) == 3
+    with pytest.raises(ValueError):
+        stairs(3).multiplicity(1)        # positions 0 and 1 lie above 1
+    assert stairs(4).multiplicity(3) == 1
+    with pytest.raises(ValueError):
+        stairs(4).multiplicity(2)        # the free position lies above 2
+
+
+def _hilbert_function(gens, nvars, k):
+    """Monomials of degree k in no monomial ideal generator's multiples."""
+    return sum(1 for m in monomials_up_to_degree(nvars, k) if sum(m) == k
+               and not any(all(a <= b for a, b in zip(g, m)) for g in gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=4))
+def test_multiplicity_is_the_hilbert_polynomial_leading_term(gens):
+    # the (d-1)-th difference of the Hilbert function at a large degree
+    # is the multiplicity; at d = 0 it is the colength
+    R = ring(5, "x", "y", "z")
+    stairs = Staircase(R, 1, [R.pack(g) for g in gens])
+    d = stairs.dimension()
+    if d == 0:
+        assert stairs.multiplicity(0) == stairs.colength()
+        return
+    values = [_hilbert_function(gens, 3, k) for k in range(30 - d, 31)]
+    for _ in range(d - 1):
+        values = [b - a for a, b in zip(values, values[1:])]
+    assert stairs.multiplicity(d) == values[-1]
+
+
 # -- syzygies -------------------------------------------------------------------------
 
 def test_koszul_syzygy():
@@ -1015,52 +1074,56 @@ def test_module_colength_infinite_without_coverage():
     assert colength(gb) is INFINITE
 
 
-# -- matrix rank and cokernel dimension ------------------------------------------------
+# -- module rank and cokernel dimension ----------------------------------------------
+
+def _matrix_rank(p, names, quotient, rows):
+    """Rank over Frac(P/Q) of a matrix of strings, read two ways: as the
+    image of its columns, and as s minus the rank of their cokernel."""
+    R = RingPresentation(p, names, quotient)
+    s = len(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonHomogeneousInputWarning)
+        coker = ModulePresentation.coker(
+            R, s, [[row[j] for row in rows] for j in range(len(rows[0]))])
+    image = ModulePresentation("image", image=coker.columns,
+                               ambient_rank=len(coker.columns))
+    rank = module_rank(R, image)
+    assert rank == s - module_rank(R, coker)
+    return rank
+
 
 def test_rank_identity():
-    R = ring(5, "x", "y")
     for s in (1, 2, 3):
-        mat = [[R.one() if i == j else R.zero() for j in range(s)]
-               for i in range(s)]
-        assert matrix_rank_over_domain(mat) == s
+        mat = [["1" if i == j else "0" for j in range(s)] for i in range(s)]
+        assert _matrix_rank(5, ["x", "y"], [], mat) == s
 
 
 def test_rank_row_vector():
-    R = ring(5, "x", "y")
-    assert matrix_rank_over_domain([[R.parse("x"), R.parse("y")]]) == 1
+    assert _matrix_rank(5, ["x", "y"], [], [["x", "y"]]) == 1
 
 
 def test_rank_nonzero_scalar():
-    R = ring(5, "x", "y")
-    assert matrix_rank_over_domain([[R.parse("x^2 + y")]]) == 1
-    assert matrix_rank_over_domain([[R.zero()]]) == 0
+    assert _matrix_rank(5, ["x", "y"], [], [["x^2 + y"]]) == 1
+    assert _matrix_rank(5, ["x", "y"], [], [["0"]]) == 0
 
 
 def test_rank_modulo_quotient():
     # x1 * x5 == x2 * x4 on the determinantal variety: the matrix
     # [[x1, x2], [x4, x5]] drops to rank 1 modulo the minors
-    R = ring(3, "x1", "x2", "x3", "x4", "x5", "x6")
-    q = buchberger([R.parse("x1*x5 - x2*x4"), R.parse("x1*x6 - x3*x4"),
-                    R.parse("x2*x6 - x3*x5")])
-    mat = [[R.parse("x1"), R.parse("x2")], [R.parse("x4"), R.parse("x5")]]
-    assert matrix_rank_over_domain(mat) == 2
-    assert matrix_rank_over_domain(mat, q) == 1
-
-
-def test_rank_budget():
-    R = ring(5, "x", "y")
-    mat = [[R.parse("x")] * 6 for _ in range(6)]
-    with pytest.raises(BudgetExceededError):
-        matrix_rank_over_domain(mat, budget=Budget(max_minors=3))
+    names = ["x1", "x2", "x3", "x4", "x5", "x6"]
+    mat = [["x1", "x2"], ["x4", "x5"]]
+    assert _matrix_rank(3, names, [], mat) == 2
+    assert _matrix_rank(3, names, ["x1*x5 - x2*x4", "x1*x6 - x3*x4",
+                                   "x2*x6 - x3*x5"], mat) == 1
 
 
 def test_cokernel_dimension_free_and_zero():
-    R = ring(5, "x", "y", "z")
-    dim, zero = cokernel_dimension([], 2, [], R)
-    assert (dim, zero) == (3, False)
-    cols = [FreeModuleElement.basis_vector(R, 2, i) for i in range(2)]
-    dim, zero = cokernel_dimension(cols, 2, [], R)
-    assert (dim, zero) == (0, True)
+    R = RingPresentation(5, ["x", "y", "z"])
+    md = module_dimension(R, ModulePresentation.coker(R, 2, []))
+    assert (md.dimension, md.is_zero_module) == (3, False)
+    unit = ModulePresentation.coker(R, 2, [["1", "0"], ["0", "1"]])
+    md = module_dimension(R, unit)
+    assert (md.dimension, md.is_zero_module) == (0, True)
 
 
 QUARTIC = (5, ("x1", "x2", "x3", "x4"), ["x1^4 + x2^4 + x3^4 + x4^4"])
@@ -1080,10 +1143,20 @@ DETERMINANTAL = (3, ("x1", "x2", "x3", "x4", "x5", "x6"),
 ])
 def test_cokernel_dimension_does_not_depend_on_the_order(shape, rank,
                                                          columns, expected):
+    # (dimension, zero module) of coker(rank, columns) over P/Q, from the
+    # relations' staircase in each order and from module_dimension
     p, names, quotient = shape
     R = ring(p, *names)
-    Q = [R.parse(f) for f in quotient]
-    cols = [FreeModuleElement.from_components(R, [R.parse(c) for c in col])
-            for col in columns]
+    relations = [FreeModuleElement.from_components(R, [R.parse(c)
+                                                       for c in col])
+                 for col in columns]
+    relations += [FreeModuleElement.basis_vector(R, rank, i, R.parse(f))
+                  for f in quotient for i in range(rank)]
     for order in (GREVLEX, LEX, DEGLEX):
-        assert cokernel_dimension(cols, rank, Q, R, order=order) == expected
+        gb = buchberger(relations, order, ring=R, rank=rank)
+        units = sum(not any(exps) for _, exps in gb.lead_terms())
+        assert (krull_dimension(gb), units == rank) == expected
+    ring_q = RingPresentation(p, names, quotient)
+    md = module_dimension(ring_q, ModulePresentation.coker(ring_q, rank,
+                                                           columns))
+    assert (md.dimension, md.is_zero_module) == expected

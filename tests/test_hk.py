@@ -1,6 +1,7 @@
 """Bracket powers, e_n values, delta_n, Tor lengths and series."""
 
 import math
+import random
 import warnings
 
 import pytest
@@ -12,9 +13,9 @@ from hilbertkunz import (Budget, BudgetExceededError, FreeModuleElement,
                          check_m_primary, colength, delta_n, en_cyclic,
                          en_module, module_dimension, module_rank, series,
                          tor1_length)
-from hilbertkunz import ParseError, PolyRing, RingMismatchError
+from hilbertkunz import ParseError, PolyRing, RingMismatchError, hk
 
-from oracles import box_staircase_count, module_dense_colength
+from oracles import box_staircase_count, minors_rank, module_dense_colength
 from hilbertkunz import syzygies
 
 
@@ -96,6 +97,19 @@ def test_m_primary_maximal_ideal():
 def test_not_m_primary():
     ring = regular_ring(5, 2)
     assert not check_m_primary(IdealHandle(ring, ["x1"]))
+
+
+def test_m_primary_check_and_e0_share_one_run(monkeypatch):
+    # both ask the ring for the colength of Q + I
+    runs = []
+    run = hk.buchberger
+    monkeypatch.setattr(hk, "buchberger",
+                        lambda *args, **kw: runs.append(1) or run(*args, **kw))
+    ring = quartic_ring()
+    I = maximal_ideal(ring)
+    assert check_m_primary(I)
+    assert en_cyclic(ring, (), I, 0) == 1
+    assert len(runs) == 1
 
 
 def test_long_integer_in_a_generator_is_a_parse_error():
@@ -284,6 +298,28 @@ def test_zero_module_en():
     assert en_module(ring, Z0, I, 1) == 0
 
 
+def test_module_kinds_need_their_own_fields():
+    # gens are read off the one presentation, so a kind given gens
+    # alone, which used to keep them beside an empty presentation and
+    # count e_1 = 9 over F_3[x, y], is rejected
+    ring = RingPresentation(3, ["x", "y"])
+    with pytest.raises(TypeError):
+        ModulePresentation("idealmod", gens=["x", "y"])
+    with pytest.raises(TypeError):
+        ModulePresentation("cyclic", gens=["x"])
+    for kind, fields in (("idealmod", {}), ("image", {}),
+                         ("coker", {"image": ()}),
+                         ("idealmod", {"image": (), "columns": [1]})):
+        with pytest.raises(ValueError):
+            ModulePresentation(kind, **fields)
+    I = IdealHandle(ring, ["x", "y"])
+    J = ModulePresentation.ideal_as_module(ring, ["x", "y"])
+    T = ModulePresentation.cyclic(ring, ["x"])
+    assert [str(g) for g in J.gens] == ["x", "y"]
+    assert [str(g) for g in T.gens] == ["x"]
+    assert (en_module(ring, J, I, 1), en_module(ring, T, I, 1)) == (10, 3)
+
+
 def test_coker_rejects_a_negative_rank():
     # R^-2 is no module: it used to give e_1 = 0 and rank -2
     with pytest.raises(ValueError):
@@ -321,13 +357,85 @@ def test_module_ranks():
     assert delta_n(ring, free, maximal_ideal(ring), 1, rank=2) == 0
 
 
-def test_ideal_rank_uses_the_generator_row():
-    # the 1 x 6 generator row needs at most six 1 x 1 minors; presenting
-    # the ideal through its 22 syzygy columns would exceed this budget
+def test_ideal_rank_uses_the_generator_row(monkeypatch):
+    # an ideal's rank is 1 minus that of coker(1, its generators): its 22
+    # syzygy columns are never computed
+    def no_syzygies(*args, **kwargs):
+        raise AssertionError("module_rank computed syzygies")
+
+    monkeypatch.setattr(hk, "syzygies", no_syzygies)
     ring = determinantal_ring()
-    ring.budget = Budget(max_minors=6)
     J = ModulePresentation.ideal_as_module(ring, list(ring.vars))
     assert module_rank(ring, J) == 1
+
+
+def test_rank_of_a_non_prime_quotient_raises():
+    # k[x, y]/(x*y) is no domain: R/(x) has multiplicity 1 of its 2
+    ring = RingPresentation(5, ["x", "y"], ["x*y"])
+    with pytest.raises(ValueError):
+        module_rank(ring, ModulePresentation.cyclic(ring, ["x"]))
+
+
+def _random_matrix(rng, ring, drops):
+    """A matrix of up to 3 x 3 sparse entries of degree <= 2, where one
+    column is sometimes a combination of two others; or, sometimes, the
+    drops matrix (full rank over P, lower modulo Q) with its columns
+    scaled by random entries, one random column appended, and transposed
+    half the time."""
+    R = ring.ring
+
+    def entry():
+        if rng.random() < 0.4:
+            return R.zero()
+        items = [(tuple(rng.choice([0, 0, 1, 2]) for _ in R.vars),
+                  rng.randrange(1, R.p)) for _ in range(rng.randint(1, 2))]
+        return R.from_terms(items)
+
+    if drops and rng.random() < 0.3:
+        scales = [entry() or R.one() for _ in drops[0]]
+        matrix = [[R.parse(f) * c for f, c in zip(row, scales)] + [entry()]
+                  for row in drops]
+        return matrix if rng.random() < 0.5 else [list(col)
+                                                  for col in zip(*matrix)]
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+    matrix = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if cols >= 3 and rng.random() < 0.5:
+        f, g = entry(), entry()
+        for row in matrix:
+            row[2] = f * row[0] + g * row[1]
+    return matrix
+
+
+# (p, variables, defining generators, a matrix whose rank drops modulo Q);
+# the cusp is prime but not graded, and each list of defining generators
+# is a Groebner basis, as the minors oracle needs
+RANK_RINGS = [
+    (5, ["x", "y", "z"], [], None),
+    (5, ["x1", "x2", "x3", "x4"], ["x1^4 + x2^4 + x3^4 + x4^4"],
+     [["x1^2 + 2*x2^2", "x3^2 + 2*x4^2"], ["2*x4^2 - x3^2", "x1^2 - 2*x2^2"]]),
+    (3, ["x1", "x2", "x3", "x4", "x5", "x6"],
+     ["x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5"],
+     [["x1", "x2", "x3"], ["x4", "x5", "x6"]]),
+    (7, ["x", "y", "z"], ["y^2 - x^3 - x*z"], [["y", "x"], ["x^2 + z", "y"]]),
+]
+
+
+@pytest.mark.filterwarnings("ignore::hilbertkunz.NonHomogeneousInputWarning")
+def test_module_rank_agrees_with_the_minors_oracle():
+    # seeded coker and image shapes of the same matrices
+    rng = random.Random(20)
+    for p, names, quotient, drops in RANK_RINGS:
+        for _ in range(100):
+            ring = RingPresentation(p, names, quotient)
+            matrix = _random_matrix(rng, ring, drops)
+            rows, cols = len(matrix), len(matrix[0])
+            want = minors_rank(matrix, ring.quotient)
+            coker = ModulePresentation.coker(
+                ring, rows, [[row[j] for row in matrix] for j in range(cols)])
+            image = ModulePresentation("image", image=coker.columns,
+                                       ambient_rank=cols)
+            assert module_rank(ring, coker) == rows - want, (names, matrix)
+            assert module_rank(ring, image) == want, (names, matrix)
 
 
 # -- delta_n ------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from .asymptotics import (ClosedForm, fit_two_point, gamma_estimate,
                           tau_from_recurrence, verify_closed_form)
 from .groebner import Budget, BudgetExceededError, INFINITE, colength
 from .hk import (HKSeries, IdealHandle, InfiniteColengthError,
-                 ModulePresentation, RingPresentation, check_m_primary,
-                 delta_n, series, tor1_length)
+                 ModulePresentation, RingPresentation, _prefetch_lengths,
+                 check_m_primary, delta_n, series, tor1_length)
 from .poly import ExponentOverflowError, ParseError, PolyRing
 
 
@@ -333,6 +333,8 @@ def _cmd_series(problem: ProblemFile, args):
 
 def _cmd_fit(problem: ProblemFile, args) -> dict:
     module, ideal = _inputs(problem, args, _series_section)
+    if args.rank is not None:
+        _prefetch_lengths(problem.ring, module, ideal, args.nmax)
     s = _series(problem, args, module, ideal, _series_section)
     d = args.d if args.d is not None else problem.ring.dimension
     fit = fit_two_point(s, d)
@@ -398,6 +400,7 @@ def _cmd_verify(problem: ProblemFile, args) -> dict:
 
 def _cmd_tor(problem: ProblemFile, args) -> dict:
     module, ideal = _inputs(problem, args, lambda s: {"tor1": []})
+    _prefetch_lengths(problem.ring, module, ideal, args.nmax, tor=True)
     entries = []
     rows = []
     for n in range(args.nmax + 1):

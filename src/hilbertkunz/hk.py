@@ -17,6 +17,10 @@ a NonHomogeneousInputWarning is emitted.
 
 from __future__ import annotations
 
+import marshal
+import os
+import signal
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -414,17 +418,21 @@ def _coker_rank(ring: RingPresentation, s: int, columns) -> int:
     rank 0 and dimension below d.  The ring's order is degree-compatible,
     so multiplicities are read off the leads, and the rank is the
     staircase's degree-d multiplicity over Q's.  A ratio that is not an
-    integer means Q is not prime.
+    integer means Q is not prime.  Cached on the ring per presentation.
     """
     if s == 0:
         return 0
-    d = ring.dimension
-    e_r = ring.defining_gb.staircase().multiplicity(d)
-    e_m = _relations(ring, s, columns).staircase().multiplicity(d)
-    if not e_r or e_m % e_r:
-        raise ValueError(f"multiplicity {e_m} is not a multiple of the "
-                         f"ring's {e_r}: the defining ideal is not prime")
-    return e_m // e_r
+    key = ("rank", s, tuple(sorted(c.key() for c in columns)))
+    hit = ring._cache.get(key)
+    if hit is None:
+        d = ring.dimension
+        e_r = ring.defining_gb.staircase().multiplicity(d)
+        e_m = _relations(ring, s, columns).staircase().multiplicity(d)
+        if not e_r or e_m % e_r:
+            raise ValueError(f"multiplicity {e_m} is not a multiple of the "
+                             f"ring's {e_r}: the defining ideal is not prime")
+        hit = ring._cache[key] = e_m // e_r
+    return hit
 
 
 def module_rank(ring: RingPresentation, module: ModulePresentation) -> int:
@@ -460,6 +468,12 @@ def delta_n(ring: RingPresentation, module: ModulePresentation,
     return e_m - rank * e_r
 
 
+def _column_module(columns) -> ModulePresentation:
+    """N in 0 -> N -> R^s -> coker(s, columns) -> 0: the columns' image."""
+    return ModulePresentation("image", image=columns,
+                              ambient_rank=len(columns))
+
+
 def tor1_length(ring: RingPresentation, module: ModulePresentation,
                 ideal: IdealHandle, n: int) -> int:
     """Length of Tor_1(T, R/I^[q]) for any presented module T.
@@ -469,15 +483,97 @@ def tor1_length(ring: RingPresentation, module: ModulePresentation,
     module: the length equals e_n(N) + e_n(T) - s e_n(R).
     """
     s, columns = _cokernel(ring, module)
-    column_module = ModulePresentation("image", image=columns,
-                                       ambient_rank=len(columns))
-    e_n_N = en_module(ring, column_module, ideal, n)
+    e_n_N = en_module(ring, _column_module(columns), ideal, n)
     e_n_T = _colength_mod_bracket(ring, s, columns, ideal, n)
     e_n_R = en_cyclic(ring, (), ideal, n)
     value = e_n_N + e_n_T - s * e_n_R
     if value < 0:        # pragma: no cover - violates the exact identity
         raise AssertionError("negative Tor length; presentation inconsistent")
     return value
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_family(ring: RingPresentation, ideal: IdealHandle, n_max: int,
+                family: Sequence[ModulePresentation]) -> bool:
+    """e_n of each module of the family, n = 0..n_max, into the cache.
+
+    Whether every request finished: an error just ends the family, and
+    the caller's own requests meet it again and report it.
+    """
+    try:
+        for n in range(n_max + 1):
+            for module in family:
+                en_module(ring, module, ideal, n)
+    except Exception:
+        return False
+    return True
+
+
+def _prefetch_lengths(ring: RingPresentation, module: ModulePresentation,
+                      ideal: IdealHandle, n_max: int, *,
+                      tor: bool = False) -> None:
+    """Fill the ring's length cache for delta_n, or tor1_length with tor,
+    at n = 0..n_max, running its two families of lengths at once.
+
+    delta_n reads e_n(M) and e_n(R); tor1_length reads e_n(N) of the
+    column module, e_n(T) and e_n(R).  M, or N, runs here and the rest in
+    one forked child, which sends back its new colength entries through
+    a pipe, merged with setdefault.  Syzygies stay here: the first family
+    needs them, and T's cokernel is built before the fork.  No fork
+    without os.fork, without 2 usable CPUs, or beside another thread,
+    whose locks the child could inherit held.  The caller's own requests
+    then compute whatever is missing and meet every error themselves.
+    The child is always reaped, and killed first unless this process
+    finished its family: the caller stops there too, before it reads
+    most of the child's lengths.
+    """
+    if (not hasattr(os, "fork") or _usable_cpus() < 2
+            or threading.active_count() > 1):
+        return
+    r_module = ModulePresentation("cyclic")
+    if tor:
+        try:
+            here = [_column_module(_cokernel(ring, module)[1])]
+        except Exception:
+            return
+        there = [module, r_module]
+    else:
+        here, there = [module], [r_module]
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            known = set(ring._cache)
+            _run_family(ring, ideal, n_max, there)
+            new = {key: None if value is INFINITE else value
+                   for key, value in ring._cache.items()
+                   if key[0] == "colength" and key not in known}
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(new))
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    data = b""
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            if _run_family(ring, ideal, n_max, here):
+                data = pipe.read()
+    finally:
+        if not data:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    try:
+        shipped = marshal.loads(data)
+    except (EOFError, ValueError):       # killed, or died before it wrote
+        return
+    for key, value in shipped.items():
+        ring._cache.setdefault(key, INFINITE if value is None else value)
 
 
 def series(ring: RingPresentation, module: ModulePresentation,

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import pathlib
 
 import pytest
@@ -464,6 +465,54 @@ def test_fit_budget_stop_in_deltas_keeps_the_series(tmp_path):
     assert [e["e"] for e in results["series"]["entries"]] == ["1", "17", "97"]
     assert [e["delta"] for e in results["delta"]["entries"]] == ["1", "17"]
     assert report["diagnostics"]["budget"]["limit"] == 100
+
+
+# fit --rank and tor run their two length families at once on two CPUs;
+# the report must not tell the routes apart
+MODULES = QUARTIC + """\
+module N = idealmod [x1, x2]
+module T = coker rows=1 [[x1], [x2]]
+"""
+NOT_PRIMARY = "ring p=5 vars=[x,y]\nideal I = [x]\nmodule M = cyclic []\n"
+WARNED = "ring p=3 vars=[x,y]\nideal I = [x, y]\n" \
+         "module T = coker rows=1 [[x + y^2]]\n"
+ROUTE_INPUTS = {"modules": MODULES, "cut-short": CUT_SHORT,
+                "not-primary": NOT_PRIMARY, "warned": WARNED}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("name, argv, code, forks", [
+    ("modules", ["fit", "--module", "N", "--rank", "1"], 0, 1),
+    ("modules", ["fit", "--module", "T", "--rank", "0"], 0, 1),
+    ("modules", ["tor", "--module", "N"], 0, 1),
+    ("modules", ["tor", "--module", "T"], 0, 1),
+    ("cut-short", ["tor", "--module", "T", "--budget-pairs", "60"], 2, 1),
+    ("cut-short", ["fit", "--module", "C", "--rank", "0",
+                   "--budget-pairs", "100"], 2, 1),
+    ("not-primary", ["fit", "--module", "M", "--rank", "1"], 1, 0),
+    ("not-primary", ["tor", "--module", "M"], 1, 0),
+    ("warned", ["fit", "--module", "T", "--rank", "0"], 0, 1),
+    ("warned", ["tor", "--module", "T"], 0, 1),
+])
+def test_one_cpu_and_two_give_the_same_report(tmp_path, monkeypatch, name,
+                                              argv, code, forks):
+    text = ROUTE_INPUTS[name]
+    argv = argv[:1] + [write(tmp_path, text), "--ideal", "I",
+                       "--nmax", "2"] + argv[1:]
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        forked.clear()
+        report, exit_code = run_command(argv)
+        assert (exit_code, len(forked)) == (code, forks if cpus == 2 else 0)
+        reports.append(stripped(report))
+    assert reports[0] == reports[1]
+    assert bool(reports[0]["diagnostics"]["warnings"]) == (text is WARNED)
 
 
 STOPPED_SERIES = {

@@ -1,13 +1,17 @@
 """Bracket powers, e_n values, delta_n, Tor lengths and series."""
 
 import math
+import os
 import random
+import signal
+import threading
+import time
 import warnings
 
 import pytest
 
-from hilbertkunz import (Budget, BudgetExceededError, FreeModuleElement,
-                         IdealHandle, InfiniteColengthError,
+from hilbertkunz import (INFINITE, Budget, BudgetExceededError,
+                         FreeModuleElement, IdealHandle, InfiniteColengthError,
                          ModulePresentation, NonHomogeneousInputWarning,
                          RingPresentation, bracket_power, buchberger,
                          check_m_primary, colength, delta_n, en_cyclic,
@@ -468,6 +472,26 @@ def test_delta_principal_ideal():
         assert delta_n(ring, J, I, n) == 0
 
 
+def test_delta_without_a_rank_computes_it_once(monkeypatch):
+    # the rank is cached on the ring, so what rank=None adds over a given
+    # rank does not grow with the number of n
+    runs = []
+    run = hk.buchberger
+    monkeypatch.setattr(hk, "buchberger",
+                        lambda *args, **kw: runs.append(1) or run(*args, **kw))
+
+    def calls(rank, n_max):
+        ring = quartic_ring()
+        N = ModulePresentation.ideal_as_module(ring, ["x1", "x2"])
+        runs.clear()
+        for n in range(n_max + 1):
+            delta_n(ring, N, maximal_ideal(ring), n, rank=rank)
+        return len(runs)
+
+    extra = [calls(None, n_max) - calls(1, n_max) for n_max in (0, 1, 2)]
+    assert extra[0] == extra[1] == extra[2] > 0
+
+
 # -- Tor lengths ----------------------------------------------------------------------
 
 def test_tor_zero_module():
@@ -569,6 +593,109 @@ def test_tor_growth_on_determinantal_section():
     values = [tor1_length(ring, T, I, n) for n in range(1, 3)]
     exponent = math.log(values[1] / values[0], ring.p)
     assert exponent <= md.dimension + 0.25
+
+
+# -- two length families at once ----------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+@needs_fork
+def test_prefetch_ships_the_childs_lengths_infinite_included(monkeypatch):
+    # I = (x1) is not m-primary: R's family, in the child, stops at its
+    # first length, which crosses the pipe as the one INFINITE
+    use_cpus(monkeypatch, 2)
+    runs = []
+    run = hk.buchberger
+    monkeypatch.setattr(hk, "buchberger",
+                        lambda *args, **kw: runs.append(1) or run(*args, **kw))
+    ring = regular_ring(5, 2)
+    I = IdealHandle(ring, ["x1"])
+    hk._prefetch_lengths(ring, ModulePresentation.cyclic(ring, ["x2"]), I, 1)
+    assert len(runs) == 2          # this process ran e_0 and e_1 of R/(x2)
+    lengths = [v for k, v in ring._cache.items() if k[0] == "colength"]
+    assert sorted(v for v in lengths if v is not INFINITE) == [1, 5]
+    assert sum(v is INFINITE for v in lengths) == 1
+    with pytest.raises(InfiniteColengthError):
+        en_cyclic(ring, (), I, 0)
+    assert len(runs) == 2          # a cache hit
+
+
+@needs_fork
+def test_no_fork_beside_another_thread(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    ring = regular_ring(5, 2)
+    args = (ring, ModulePresentation.cyclic(ring, []), maximal_ideal(ring), 1)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        hk._prefetch_lengths(*args)
+    finally:
+        release.set()
+        waiting.join()
+    assert forked == []
+    hk._prefetch_lengths(*args)
+    assert forked == [1]
+
+
+@needs_fork
+def test_a_child_that_dies_changes_nothing(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    run_family = hk._run_family
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return run_family(*args)
+
+    monkeypatch.setattr(hk, "_run_family", dying)
+    ring = quartic_ring()
+    I = maximal_ideal(ring)
+    N = ModulePresentation.ideal_as_module(ring, ["x1", "x2"])
+    hk._prefetch_lengths(ring, N, I, 1)
+    assert sum(k[0] == "colength" for k in ring._cache) == 2     # N's only
+    assert [delta_n(ring, N, I, n, rank=1) for n in range(2)] == [1, 33]
+
+
+@needs_fork
+@pytest.mark.parametrize("stop", [
+    KeyboardInterrupt(), BudgetExceededError("buchberger pairs", 0, 1)])
+def test_the_child_is_killed_unless_this_family_finished(monkeypatch, stop):
+    # unwinding, or a stop that ends this process's family, kills the
+    # child (here still busy) before it is reaped
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def stalled(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise stop
+
+    monkeypatch.setattr(hk, "en_module", stalled)
+    reaped = []
+    waitpid = os.waitpid
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: reaped.append(
+        waitpid(pid, options)) or reaped[-1])
+    ring = regular_ring(5, 2)
+    args = (ring, ModulePresentation.cyclic(ring, []), maximal_ideal(ring), 1)
+    if isinstance(stop, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            hk._prefetch_lengths(*args)
+    else:
+        hk._prefetch_lengths(*args)
+    [(_, status)] = reaped
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
 
 # -- module dimensions ------------------------------------------------------------------

@@ -37,7 +37,8 @@ from .asymptotics import (ClosedForm, fit_two_point, gamma_estimate,
 from .groebner import Budget, BudgetExceededError, INFINITE, colength
 from .hk import (HKSeries, IdealHandle, InfiniteColengthError,
                  ModulePresentation, RingPresentation, _prefetch_lengths,
-                 check_m_primary, delta_n, series, tor1_length)
+                 bracket_power, check_m_primary, delta_n, series,
+                 tor1_length)
 from .poly import ExponentOverflowError, ParseError, PolyRing
 
 
@@ -292,6 +293,8 @@ def _inputs(problem: ProblemFile, args, partial) -> tuple:
         raise _CommandError(
             f"ideal {args.ideal!r} is not m-primary: the quotient has "
             "infinite length")
+    for n in range(args.nmax + 1):   # overflow before any further run
+        bracket_power(ideal, n)
     return module, ideal
 
 

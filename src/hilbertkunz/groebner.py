@@ -199,24 +199,12 @@ class Staircase:
         return stairs
 
     def colength(self):
-        """Count of (position, monomial) pairs outside, or INFINITE.
-
-        Each position is counted on its leads repacked least-used variable
-        first (see _least_used_first); the memo is shared, since a key
-        describes a staircase, not the ring's variable names.
-        """
-        nv = self.ring.nvars
-        memo: dict = {}
-        total = 0
-        for pos in range(self.rank):
-            gens = self._by_pos.get(pos, ())
-            if gens and gens[0] == 0:
-                continue                  # the unit: nothing lies outside
-            if not _artinian(gens, nv):
-                return INFINITE           # some variable has no pure power
-            total += _count_standard(_least_used_first(gens, nv),
-                                     self.ring.guards, memo)
-        return total
+        """Count of (position, monomial) pairs outside, or INFINITE: the
+        degree-0 multiplicity, where an infinite one raises ValueError."""
+        try:
+            return self.multiplicity(0)
+        except ValueError:
+            return INFINITE
 
     def dimension(self) -> int:
         """Krull dimension of P^rank / submodule, by independent sets.
@@ -264,12 +252,17 @@ class Staircase:
             if not gens:
                 total += 1
                 continue
-            for free in _independent_sets(gens, nv, d):
-                kept = [i for i in range(nv) if i not in free]
-                moves = [(16 * i, 16 * j) for j, i in enumerate(kept)]
-                rest = _minimal(sorted(
-                    sum((g >> src & 0xFFFF) << dst for src, dst in moves)
-                    for g in gens), guards)
+            if gens[0] == 0:
+                continue                  # the unit: nothing lies outside
+            # at d = 0 the one set is empty, and the leads count as they are
+            for free in _independent_sets(gens, nv, d) if d else [()]:
+                rest = gens
+                if free:
+                    kept = [i for i in range(nv) if i not in free]
+                    moves = [(16 * i, 16 * j) for j, i in enumerate(kept)]
+                    rest = _minimal(sorted(
+                        sum((g >> src & 0xFFFF) << dst for src, dst in moves)
+                        for g in gens), guards)
                 if not _artinian(rest, k):
                     raise ValueError(f"the staircase has dimension above {d}")
                 total += _count_standard(_least_used_first(rest, k), guards,

@@ -25,8 +25,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .groebner import (Budget, BudgetExceededError, GroebnerBasis, INFINITE,
-                       buchberger, colength, krull_dimension, syzygies)
+from .groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
+                       GroebnerBasis, INFINITE, buchberger, colength,
+                       krull_dimension, syzygies)
 from .poly import (EXP_LIMIT, ExponentOverflowError, FreeModuleElement,
                    PolyRing, Polynomial, RingMismatchError, parse_poly)
 
@@ -67,9 +68,9 @@ class RingPresentation:
 
     Holds the budget for every Groebner run over it (None is the default
     Budget): Q, Q + I, syzygies, ranks, dimensions and lengths all read
-    ring.budget.  Caches the Groebner basis of Q, the Krull dimension,
-    and every length computed over this ring, so repeated
-    series/delta/Tor computations share work.
+    ring.budget.  One memo (_memo) keeps every result computed over this
+    ring, so repeated series/delta/Tor computations share work, and every
+    budget stop under the budget it hit.
     """
 
     def __init__(self, p: int, variables: Sequence[str], quotient=(), *,
@@ -78,8 +79,6 @@ class RingPresentation:
         self.quotient = _coerce_polys(self.ring, quotient)
         _warn_if_inhomogeneous(self.quotient, "the defining ideal")
         self.budget = budget
-        self._q_gb: Optional[GroebnerBasis] = None
-        self._dim: Optional[int] = None
         self._cache: dict = {}
 
     @property
@@ -93,19 +92,43 @@ class RingPresentation:
     def parse(self, text: str) -> Polynomial:
         return parse_poly(text, self.ring)
 
+    def _memo(self, key: tuple, compute):
+        """compute(), once per key: its value, or its budget stop.
+
+        A stop is kept as (stage, limit, count) under the (max_pairs,
+        max_basis) of the budget it hit: the same request under the same
+        budget raises an equal stop without a run, under another it runs
+        again.  Keys and stops are plain tuples, which marshal carries.
+        """
+        if key in self._cache:
+            return self._cache[key]
+        budget = self.budget or DEFAULT_BUDGET
+        stop_key = ("stop", (budget.max_pairs, budget.max_basis), key)
+        if stop_key in self._cache:
+            raise BudgetExceededError(*self._cache[stop_key])
+        try:
+            value = compute()
+        except BudgetExceededError as exc:
+            self._cache[stop_key] = (exc.stage, exc.limit, exc.count)
+            raise
+        self._cache[key] = value
+        return value
+
+    def _gb(self, polys: Sequence[Polynomial]) -> GroebnerBasis:
+        """Groebner basis in P of the ideal the polynomials generate."""
+        key = ("gb", tuple(c.key() for c in _as_columns(self, polys)))
+        return self._memo(key, lambda: buchberger(polys, ring=self.ring,
+                                                  budget=self.budget))
+
     @property
     def defining_gb(self) -> GroebnerBasis:
-        if self._q_gb is None:
-            self._q_gb = buchberger(self.quotient, ring=self.ring,
-                                    budget=self.budget)
-        return self._q_gb
+        return self._gb(self.quotient)
 
     @property
     def dimension(self) -> int:
         """Krull dimension d of R = P/Q."""
-        if self._dim is None:
-            self._dim = krull_dimension(self.defining_gb)
-        return self._dim
+        return self._memo(("dimension",),
+                          lambda: krull_dimension(self.defining_gb))
 
     # -- cached length computations ------------------------------------------
 
@@ -123,13 +146,8 @@ class RingPresentation:
         """Colength in P^rank of the submodule the vectors generate."""
         gens = [g for g in dict.fromkeys(gens) if g]
         key = ("colength", rank, tuple(sorted(g.key() for g in gens)))
-        hit = self._cache.get(key)
-        if hit is None:
-            gb = buchberger(gens, ring=self.ring, rank=rank,
-                            budget=self.budget)
-            hit = colength(gb)
-            self._cache[key] = hit
-        return hit
+        return self._memo(key, lambda: colength(buchberger(
+            gens, ring=self.ring, rank=rank, budget=self.budget)))
 
     def __repr__(self):
         qs = [str(g) for g in self.quotient]
@@ -138,21 +156,17 @@ class RingPresentation:
 
 
 class IdealHandle:
-    """An ideal I of R with its cached Groebner basis of Q + I."""
+    """An ideal I of R; its Groebner basis of Q + I is cached on the ring."""
 
     def __init__(self, ring: RingPresentation, gens):
         self.ring = ring
         self.gens = _coerce_polys(ring.ring, gens)
         _warn_if_inhomogeneous(self.gens, "an ideal generator")
-        self._gb: Optional[GroebnerBasis] = None
 
     @property
     def gb(self) -> GroebnerBasis:
         """Groebner basis of Q + I in the ambient polynomial ring."""
-        if self._gb is None:
-            self._gb = buchberger(list(self.ring.quotient) + list(self.gens),
-                                  ring=self.ring.ring, budget=self.ring.budget)
-        return self._gb
+        return self.ring._gb(self.ring.quotient + self.gens)
 
     def __repr__(self):
         return f"IdealHandle({[str(g) for g in self.gens]})"
@@ -311,29 +325,18 @@ class HKSeries:
 # -- e_n computations ------------------------------------------------------------
 
 
-def _require_finite(value, what: str) -> int:
-    if value is INFINITE:
-        raise InfiniteColengthError(
-            f"{what} has infinite colength; the ideal is not m-primary "
-            "over this ring")
-    return value
-
-
 def _colength_mod_bracket(ring: RingPresentation, s: int, columns,
                           ideal: IdealHandle, n: int) -> int:
-    """Length of coker(s, columns) / I^[q], a colength in P^s.
-
-    The relation columns come first, then Q and the bracket power I^[q]
-    times each basis vector of R^s.
-    """
+    """Length of coker(s, columns) / I^[q], a colength in P^s."""
     if s == 0:
         return 0
-    bracket = bracket_power(ideal, n)
-    gens = list(columns)
-    gens += _basis_multiples(ring, ring.quotient, s)
-    gens += _basis_multiples(ring, bracket.gens, s)
+    gens = _over_r(ring, s, columns, bracket_power(ideal, n).gens)
     value = ring._colength_of_module(gens, s)
-    return _require_finite(value, "the module")
+    if value is INFINITE:
+        raise InfiniteColengthError(
+            "the module has infinite colength; the ideal is not m-primary "
+            "over this ring")
+    return value
 
 
 def en_cyclic(ring: RingPresentation, relations: Sequence, ideal: IdealHandle,
@@ -344,14 +347,16 @@ def en_cyclic(ring: RingPresentation, relations: Sequence, ideal: IdealHandle,
                                  ideal, n)
 
 
-def _basis_multiples(ring: RingPresentation, polys: Sequence[Polynomial],
-                     rank: int) -> list:
-    out = []
-    for i in range(rank):
-        for f in polys:
-            if f:
-                out.append(FreeModuleElement.basis_vector(ring.ring, rank, i, f))
-    return out
+def _over_r(ring: RingPresentation, s: int, columns,
+            bracket: Sequence[Polynomial] = ()) -> list:
+    """The columns, then Q and then the bracket generators times each basis
+    vector of R^s: generators in P^s of the relations of coker(s, columns)
+    over R, plus the bracket power if given."""
+    gens = list(columns)
+    for polys in (ring.quotient, bracket):
+        gens += [FreeModuleElement.basis_vector(ring.ring, s, i, f)
+                 for i in range(s) for f in polys if f]
+    return gens
 
 
 def _projected_syzygies(ring: RingPresentation,
@@ -364,20 +369,17 @@ def _projected_syzygies(ring: RingPresentation,
     """
     m = len(columns)
     s = columns[0].rank
-    key = ("syz", s, tuple(c.key() for c in columns))
-    hit = ring._cache.get(key)
-    if hit is not None:
-        return hit
-    aug = list(columns) + _basis_multiples(ring, ring.quotient, s)
-    syz = syzygies(aug, budget=ring.budget)
     bits = ring.ring.mono_bits
-    projected = []
-    for v in syz:
-        d = {t: c for t, c in v._d.items() if (t >> bits) < m}
-        if d:
-            projected.append(FreeModuleElement(ring.ring, m, d))
-    ring._cache[key] = projected
-    return projected
+
+    def project():
+        projected = []
+        for v in syzygies(_over_r(ring, s, columns), budget=ring.budget):
+            d = {t: c for t, c in v._d.items() if (t >> bits) < m}
+            if d:
+                projected.append(FreeModuleElement(ring.ring, m, d))
+        return projected
+
+    return ring._memo(("syz", s, tuple(c.key() for c in columns)), project)
 
 
 def _cokernel(ring: RingPresentation, module: ModulePresentation) -> tuple:
@@ -401,10 +403,9 @@ def en_module(ring: RingPresentation, module: ModulePresentation,
 
 def _relations(ring: RingPresentation, s: int,
                columns: Sequence[FreeModuleElement]) -> GroebnerBasis:
-    """Groebner basis in P^s of the columns plus Q times each basis vector:
-    the relations of coker(s, columns) over R, for s >= 1."""
-    gens = list(columns) + _basis_multiples(ring, ring.quotient, s)
-    return buchberger(gens, ring=ring.ring, rank=s, budget=ring.budget)
+    """Groebner basis in P^s of _over_r's relations, for s >= 1."""
+    return buchberger(_over_r(ring, s, columns), ring=ring.ring, rank=s,
+                      budget=ring.budget)
 
 
 def _coker_rank(ring: RingPresentation, s: int, columns) -> int:
@@ -422,17 +423,18 @@ def _coker_rank(ring: RingPresentation, s: int, columns) -> int:
     """
     if s == 0:
         return 0
-    key = ("rank", s, tuple(sorted(c.key() for c in columns)))
-    hit = ring._cache.get(key)
-    if hit is None:
+
+    def rank():
         d = ring.dimension
         e_r = ring.defining_gb.staircase().multiplicity(d)
         e_m = _relations(ring, s, columns).staircase().multiplicity(d)
         if not e_r or e_m % e_r:
             raise ValueError(f"multiplicity {e_m} is not a multiple of the "
                              f"ring's {e_r}: the defining ideal is not prime")
-        hit = ring._cache[key] = e_m // e_r
-    return hit
+        return e_m // e_r
+
+    return ring._memo(("rank", s, tuple(sorted(c.key() for c in columns))),
+                      rank)
 
 
 def module_rank(ring: RingPresentation, module: ModulePresentation) -> int:
@@ -522,9 +524,10 @@ def _prefetch_lengths(ring: RingPresentation, module: ModulePresentation,
 
     delta_n reads e_n(M) and e_n(R); tor1_length reads e_n(N) of the
     column module, e_n(T) and e_n(R).  M, or N, runs here and the rest in
-    one forked child, which sends back its new colength entries through
-    a pipe, merged with setdefault.  Syzygies stay here: the first family
-    needs them, and T's cokernel is built before the fork.  No fork
+    one forked child, which sends back its new lengths and budget stops
+    (see RingPresentation._memo) through a pipe, merged with setdefault,
+    so neither family's stop is run again.  Syzygies stay here: the first
+    family needs them, and T's cokernel is built before the fork.  No fork
     without os.fork, without 2 usable CPUs, or beside another thread,
     whose locks the child could inherit held.  The caller's own requests
     then compute whatever is missing and meet every error themselves.
@@ -553,7 +556,7 @@ def _prefetch_lengths(ring: RingPresentation, module: ModulePresentation,
             _run_family(ring, ideal, n_max, there)
             new = {key: None if value is INFINITE else value
                    for key, value in ring._cache.items()
-                   if key[0] == "colength" and key not in known}
+                   if key[0] in ("colength", "stop") and key not in known}
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(marshal.dumps(new))
         finally:

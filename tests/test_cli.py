@@ -8,7 +8,8 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbertkunz import Budget, ParseError, cli, hk, parse_problem, poly
+from hilbertkunz import (Budget, BudgetExceededError, ParseError, cli, hk,
+                         parse_problem, poly)
 from hilbertkunz.cli import run_command
 
 QUARTIC = """\
@@ -440,6 +441,8 @@ def test_series_budget_stop_fills_budget_diagnostics(tmp_path):
 CUT_SHORT = QUARTIC + """\
 module T = coker rows=1 [[x1], [x2]]
 module C = cyclic [x1, x2]
+module N = idealmod [x1, x2]
+module K = cyclic [x1, x2, x3, x4]
 """
 
 
@@ -478,9 +481,45 @@ WARNED = "ring p=3 vars=[x,y]\nideal I = [x, y]\n" \
          "module T = coker rows=1 [[x + y^2]]\n"
 ROUTE_INPUTS = {"modules": MODULES, "cut-short": CUT_SHORT,
                 "not-primary": NOT_PRIMARY, "warned": WARNED}
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def on_one_cpu_and_two(tmp_path, monkeypatch, name, argv) -> list:
+    """(report without timing_ms, exit code, forks, hk.buchberger runs,
+    budget stops) of the command at --nmax 2 on one usable CPU, then on
+    two; runs and stops are this process's, not the child's."""
+    argv = argv[:1] + [write(tmp_path, ROUTE_INPUTS[name]), "--ideal", "I",
+                       "--nmax", "2"] + argv[1:]
+    counts = [0, 0, 0]               # forks, runs, stops
+    fork = os.fork
+    run = hk.buchberger
+
+    def counted_fork():
+        counts[0] += 1
+        return fork()
+
+    def counted(*args, **kwargs):
+        counts[1] += 1
+        try:
+            return run(*args, **kwargs)
+        except BudgetExceededError:
+            counts[2] += 1
+            raise
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(hk, "buchberger", counted)
+    out = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        counts[:] = [0, 0, 0]
+        report, exit_code = run_command(argv)
+        out.append((stripped(report), exit_code, *counts))
+    return out
+
+
+@needs_fork
 @pytest.mark.parametrize("name, argv, code, forks", [
     ("modules", ["fit", "--module", "N", "--rank", "1"], 0, 1),
     ("modules", ["fit", "--module", "T", "--rank", "0"], 0, 1),
@@ -496,23 +535,31 @@ ROUTE_INPUTS = {"modules": MODULES, "cut-short": CUT_SHORT,
 ])
 def test_one_cpu_and_two_give_the_same_report(tmp_path, monkeypatch, name,
                                               argv, code, forks):
-    text = ROUTE_INPUTS[name]
-    argv = argv[:1] + [write(tmp_path, text), "--ideal", "I",
-                       "--nmax", "2"] + argv[1:]
-    forked = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
-    reports = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        forked.clear()
-        report, exit_code = run_command(argv)
-        assert (exit_code, len(forked)) == (code, forks if cpus == 2 else 0)
-        reports.append(stripped(report))
-    assert reports[0] == reports[1]
-    assert bool(reports[0]["diagnostics"]["warnings"]) == (text is WARNED)
+    one, two = on_one_cpu_and_two(tmp_path, monkeypatch, name, argv)
+    assert (one[1], one[2]) == (code, 0)
+    assert (two[1], two[2]) == (code, forks)
+    assert one[0] == two[0]
+    assert bool(one[0]["diagnostics"]["warnings"]) == (name == "warned")
+
+
+@needs_fork
+@pytest.mark.parametrize("argv, runs", [
+    # the stop is in this process's family: run once here on either route
+    (["tor", "--module", "T", "--budget-pairs", "60"], ((6, 1), (6, 1))),
+    (["fit", "--module", "N", "--rank", "1", "--budget-pairs", "60"],
+     ((4, 1), (4, 1))),
+    # the stop is in the child's family (R's lengths): run there only
+    (["fit", "--module", "C", "--rank", "0", "--budget-pairs", "100"],
+     ((6, 1), (4, 0))),
+    (["fit", "--module", "K", "--rank", "0", "--budget-pairs", "60"],
+     ((6, 1), (4, 0))),
+])
+def test_no_budget_stop_is_run_twice_on_either_route(tmp_path, monkeypatch,
+                                                     argv, runs):
+    one, two = on_one_cpu_and_two(tmp_path, monkeypatch, "cut-short", argv)
+    assert (one[1:3], two[1:3]) == ((2, 0), (2, 1))
+    assert one[0] == two[0]
+    assert (one[3:], two[3:]) == runs
 
 
 STOPPED_SERIES = {
@@ -625,6 +672,28 @@ def test_exit_exponent_overflow(tmp_path):
         ["series", path, "--module", "M", "--ideal", "I", "--nmax", "30"])
     assert code == 1
     assert report["error"]["kind"] == "overflow"
+
+
+@pytest.mark.parametrize("command", [["series"], ["fit", "--rank", "1"],
+                                     ["tor"]])
+def test_exponent_overflow_stops_before_any_length(tmp_path, monkeypatch,
+                                                   command):
+    # every bracket power up to --nmax is formed after the m-primary check,
+    # so q = 2^15 is reported before any of e_0..e_14 is computed
+    runs = []
+    run = hk.buchberger
+    monkeypatch.setattr(hk, "buchberger",
+                        lambda *args, **kw: runs.append(1) or run(*args, **kw))
+    path = write(tmp_path, "ring p=2 vars=[x]\nideal I = [x]\n"
+                           "module M = cyclic []\n")
+    report, code = run_command(command[:1] + [
+        path, "--module", "M", "--ideal", "I", "--nmax", "15"] + command[1:])
+    assert code == 1
+    assert report["results"] == {}
+    assert report["error"] == {
+        "kind": "overflow",
+        "message": "q = 2^15 = 32768 exceeds the supported exponent bound"}
+    assert len(runs) == 1            # the m-primary check's run of Q + I
 
 
 @pytest.mark.parametrize("argv", [

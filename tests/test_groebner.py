@@ -861,12 +861,15 @@ def _hilbert_function(gens, nvars, k):
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=4))
 def test_multiplicity_is_the_hilbert_polynomial_leading_term(gens):
     # the (d-1)-th difference of the Hilbert function at a large degree
-    # is the multiplicity; at d = 0 it is the colength
+    # is the multiplicity; at d = 0 it is the Hilbert function's sum, the
+    # colength (every exponent of a standard monomial is below 3, so its
+    # degree is at most 6)
     R = ring(5, "x", "y", "z")
     stairs = Staircase(R, 1, [R.pack(g) for g in gens])
     d = stairs.dimension()
     if d == 0:
-        assert stairs.multiplicity(0) == stairs.colength()
+        assert stairs.multiplicity(0) == sum(_hilbert_function(gens, 3, k)
+                                             for k in range(7))
         return
     values = [_hilbert_function(gens, 3, k) for k in range(30 - d, 31)]
     for _ in range(d - 1):

@@ -781,6 +781,42 @@ def test_ring_budget_stops_every_entry_point():
     assert s.failed_n == 0
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda ring, I: en_cyclic(ring, (), I, 1), 123),
+    (lambda ring, I: ring.dimension, 4),
+    (lambda ring, I: len(I.gb), 6),
+    (lambda ring, I: module_rank(ring, ModulePresentation.ideal_as_module(
+        ring, ["x1", "x2"])), 1),
+    (lambda ring, I: en_module(ring, ModulePresentation.ideal_as_module(
+        ring, ["x1", "x2"]), I, 0), 2),
+])
+def test_a_budget_stop_is_kept_per_budget(monkeypatch, call, value):
+    # the ring's memo keeps the stop under the budget it hit: the same
+    # request under that budget stops again without a Groebner run, and
+    # under another budget it runs again
+    ring = determinantal_ring()
+    I = maximal_ideal(ring)
+    ring.budget = Budget(max_pairs=0)
+    with pytest.raises(BudgetExceededError) as first:
+        call(ring, I)
+    runs = []
+    for name in ("buchberger", "syzygies"):
+        run = getattr(hk, name)
+        monkeypatch.setattr(hk, name, lambda *args, run=run, **kw:
+                            runs.append(1) or run(*args, **kw))
+    with pytest.raises(BudgetExceededError) as again:
+        call(ring, I)
+    assert again.value.diagnostics() == first.value.diagnostics() == {
+        "stage": "buchberger pairs", "limit": 0, "count": 1}
+    assert runs == []
+    ring.budget = Budget(max_pairs=1)
+    with pytest.raises(BudgetExceededError) as other:
+        call(ring, I)
+    assert other.value.diagnostics()["count"] == 2 and runs == [1]
+    ring.budget = None
+    assert call(ring, I) == value
+
+
 @pytest.mark.slow
 def test_quartic_e4():
     # 7-10 s on a 2-core machine: 5284 Buchberger pairs, a final

@@ -36,7 +36,8 @@ from .asymptotics import (ClosedForm, fit_two_point, gamma_estimate,
                           tau_from_recurrence, verify_closed_form)
 from .groebner import Budget, BudgetExceededError, INFINITE, colength
 from .hk import (HKSeries, IdealHandle, InfiniteColengthError,
-                 ModulePresentation, RingPresentation, _prefetch_lengths,
+                 ModulePresentation, NonHomogeneousInputWarning,
+                 RingPresentation, _prefetch_lengths,
                  bracket_power, check_m_primary, delta_n, series,
                  tor1_length)
 from .poly import ExponentOverflowError, ParseError, PolyRing
@@ -528,19 +529,26 @@ def _run(argv: List[str]) -> tuple:
             "digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "text": text,
         }
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            problem = parse_problem(text)
-            # every Groebner run of the command, Q and Q + I included
-            problem.ring.budget = _make_budget(args)
-            report["ring"] = {
-                "p": problem.ring.p,
-                "vars": list(problem.ring.vars),
-                "quotient": [str(g) for g in problem.ring.quotient],
-            }
-            report["results"] = _COMMANDS[args.command](problem, args)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                problem = parse_problem(text)
+                # every Groebner run of the command, Q and Q + I included
+                problem.ring.budget = _make_budget(args)
+                report["ring"] = {
+                    "p": problem.ring.p,
+                    "vars": list(problem.ring.vars),
+                    "quotient": [str(g) for g in problem.ring.quotient],
+                }
+                report["results"] = _COMMANDS[args.command](problem, args)
+        finally:   # the caller's filters decide on all but input warnings
+            for w in caught:
+                if not issubclass(w.category, NonHomogeneousInputWarning):
+                    warnings.warn_explicit(w.message, w.category, w.filename,
+                                           w.lineno, source=w.source)
         report["diagnostics"]["warnings"] = sorted(
-            {str(w.message) for w in caught})
+            {str(w.message) for w in caught
+             if issubclass(w.category, NonHomogeneousInputWarning)})
     except ParseError as exc:
         report["error"] = {"kind": "parse", "message": exc.message,
                            "line": exc.line, "col": exc.col}

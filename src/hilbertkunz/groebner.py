@@ -2,10 +2,10 @@
 
 Computes reduced Groebner bases (unique for a given submodule and order),
 normal forms, colengths counted through the staircase of leading terms,
-syzygy modules from a run whose elements carry their representations in
-tag positions below the module ones, and Krull dimensions and
-multiplicities of quotients by the independent-set method on the same
-staircase.
+syzygy modules from the minimal S-pairs (the run's pair rule; Schreyer's
+theorem) of a run whose elements carry their representations in tags,
+and Krull dimensions and multiplicities of quotients by the
+independent-set method on the same staircase.
 
 A GroebnerBasis is its finished run: it keeps the run's one engine,
 builds its staircase from the run's live leads, and reduces in that
@@ -611,6 +611,16 @@ class _Engine:
         index.add(idx, lt, sum(t < top for t in vec) == 1, raw)
         return idx
 
+    def _minimal_pairs(self, t: int, partners: int) -> list:
+        """(lcm, partners) per minimal lcm of t's lead with a partner's
+        (partners a bitset): the pair rule of the run and the syzygy pass."""
+        mono_t = self.ltmonos[t]
+        groups: dict = {}
+        for i in _members(partners):
+            groups.setdefault(self.ring.mono_lcm(self.ltmonos[i], mono_t),
+                              []).append(i)
+        return [(v, groups[v]) for v in _minimal(sorted(groups), self.guards)]
+
     def _update_pairs(self, t: int):
         """Gebauer-Moeller update: queue pairs for the new element t.
 
@@ -624,8 +634,6 @@ class _Engine:
         Queued pairs are not scanned: the new lead's chain criterion on
         them is applied when run pops them.
         """
-        ring = self.ring
-        g = self.guards
         mono_t = self.ltmonos[t]
         pos = self.lts[t] >> self.bits
         index = self.index[pos]
@@ -633,15 +641,10 @@ class _Engine:
         # S-vector of two single terms is zero but for tags
         partners = index.multi if index.single >> t & 1 else \
             index.single | index.multi
-        groups: dict = {}
-        for i in _members(partners & ~(1 << t)):
-            groups.setdefault(ring.mono_lcm(self.ltmonos[i], mono_t),
-                              []).append(i)
-        # one representative per lcm that no other candidate lcm divides;
-        # none when the product criterion fires
+        # one representative per minimal lcm; none when the product
+        # criterion fires
         monokey = self.monokeyf
-        for lcm_v in _minimal(sorted(groups), g):
-            idxs = groups[lcm_v]
+        for lcm_v, idxs in self._minimal_pairs(t, partners & ~(1 << t)):
             if self.one_pos[t] and any(
                     self.one_pos[i] and lcm_v == self.ltmonos[i] + mono_t
                     for i in idxs):
@@ -823,10 +826,13 @@ def syzygies(gens: Sequence, *, budget: Optional[Budget] = None) -> list:
 
     One run on the inputs g_i + e_(rank+i) in P^(rank+m), whose tag
     positions lie below the module ones, so each element's tags are its
-    representation; then every same-position pair of the basis reduces to
-    tags alone, which, shifted down to P^m, generate the syzygy module by
-    Schreyer's theorem.  The output is the reduced Groebner basis of that
-    module, so it is canonical as well as complete.
+    representation.  Each element j, retired ones included, then pairs
+    with the earlier elements at its position by the run's rule, one per
+    minimal lcm, with no product criterion; those S-pairs reduce to tags
+    alone, which, shifted down to P^m, generate the syzygy module by
+    Schreyer's theorem: their leads (lcm / lead_j) e_j, ties going to the
+    later element, generate those of all pairs.  The output is the reduced
+    Groebner basis of that module, so it is canonical as well as complete.
     """
     budget = budget or DEFAULT_BUDGET
     if not gens:
@@ -845,11 +851,11 @@ def syzygies(gens: Sequence, *, budget: Optional[Budget] = None) -> list:
         else:
             raw.append({i << bits: 1})     # a zero generator is annihilated by 1
     eng.run()
-    for j in range(len(eng.basis)):
-        for i in range(j):
-            if eng.lts[i] >> bits != eng.lts[j] >> bits:
-                continue
-            rem = eng.reduce(*eng.spair(i, j))
+    lts = eng.lts
+    for j, lt in enumerate(lts):
+        earlier = sum(1 << i for i in range(j) if lts[i] >> bits == lt >> bits)
+        for lcm, idxs in eng._minimal_pairs(j, earlier):
+            rem = eng.reduce(*eng.spair(min(idxs), j, lcm))
             if rem:
                 if next(iter(rem)) < top:  # pragma: no cover - contradicts GB
                     raise AssertionError("S-pair failed to reduce to zero")

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import pathlib
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -540,6 +541,35 @@ def test_one_cpu_and_two_give_the_same_report(tmp_path, monkeypatch, name,
     assert (two[1], two[2]) == (code, forks)
     assert one[0] == two[0]
     assert bool(one[0]["diagnostics"]["warnings"]) == (name == "warned")
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("warned", ["--module", "T"], 0),
+    ("cut-short", ["--module", "M", "--budget-pairs", "60"], 2),
+])
+def test_the_report_lists_input_warnings_only(tmp_path, monkeypatch, name,
+                                              argv, code):
+    # any other warning raised during a command, finished or stopped, goes
+    # on to the caller's filters, where a ResourceWarning gate sees it
+    series = cli.series
+
+    def noisy(*args, **kwargs):
+        warnings.warn("unrelated to the input", RuntimeWarning)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "series", noisy)
+    with pytest.warns(RuntimeWarning, match="unrelated to the input"):
+        report, exit_code = run_command(
+            ["series", write(tmp_path, ROUTE_INPUTS[name]), "--ideal", "I",
+             "--nmax", "2"] + argv)
+    assert exit_code == code
+    listed = report["diagnostics"]["warnings"]
+    if name == "warned":
+        assert listed == ["a module relation is not homogeneous; computed "
+                          "lengths are affine colengths, which agree with "
+                          "local lengths only in the graded case"]
+    else:
+        assert listed == []
 
 
 @needs_fork

@@ -985,11 +985,49 @@ def test_syzygy_run_shape(build, shape, monkeypatch):
     assert shapes[0] == shape
 
 
-def _homogeneous(R, rng, degree):
+class _FinalRun(Exception):
+    pass
+
+
+@pytest.mark.parametrize("build, work", [
+    # (S-pair reductions after the run, raw syzygies into the final run);
+    # reducing every same-position pair of the basis gave (87, 69),
+    # (15, 13) and (141, 125)
+    (lambda R: _rank2_vectors(R)[:4], (31, 21)),
+    (_single_term_ideal, (9, 7)),
+    (_rank2_vectors, (42, 33)),
+])
+def test_syzygy_pass_work(build, work, monkeypatch):
+    # the pass pairs each element with the earlier ones at its position by
+    # the run's minimal-lcm rule; the final run is stopped on entry
+    ran, reductions = [], []
+    run, reduce = groebner._Engine.run, groebner._Engine.reduce
+
+    def recording_run(self):
+        run(self)
+        ran.append(self)
+
+    def counting_reduce(self, *args):
+        if ran:
+            reductions.append(self)
+        return reduce(self, *args)
+
+    def final_run(elems, **kwargs):
+        raise _FinalRun(len(elems))
+
+    monkeypatch.setattr(groebner._Engine, "run", recording_run)
+    monkeypatch.setattr(groebner._Engine, "reduce", counting_reduce)
+    monkeypatch.setattr(groebner, "buchberger", final_run)
+    with pytest.raises(_FinalRun) as final:
+        syzygies(build(ring(5, "x", "y", "z")))
+    assert (len(reductions), final.value.args[0]) == work
+
+
+def _homogeneous(R, rng, degree, most=3):
     monos = [e for e in monomials_up_to_degree(R.nvars, degree)
              if sum(e) == degree]
     return sum((R.monomial(e, rng.randrange(1, R.p))
-                for e in rng.sample(monos, rng.randint(1, 3))), R.zero())
+                for e in rng.sample(monos, rng.randint(1, most))), R.zero())
 
 
 def _degree_rows(vectors, weights, degree, nvars, index):
@@ -1010,25 +1048,57 @@ def _degree_rows(vectors, weights, degree, nvars, index):
     return rows
 
 
-def test_syzygies_match_dense_kernels():
+def test_syzygies_match_dense_kernels(monkeypatch):
     # homogeneous inputs g_i of degree d_i: in the grading where e_i has
     # degree d_i each syzygy is homogeneous, and in every degree D the
     # syzygies' monomial multiples span the kernel of the dense map
-    # (a_i) -> sum a_i g_i from the sum of P_(D - d_i) to P_D^rank
+    # (a_i) -> sum a_i g_i from the sum of P_(D - d_i) to P_D^rank.
+    # Trials from 40 on run in lex and deglex with degree-3 generators and
+    # monomial entries, so that the pass meets what its pair rule drops or
+    # keeps: retired elements, coprime leads and single-term elements
+    engines, pairs = [], []
+    run, spair = groebner._Engine.run, groebner._Engine.spair
+
+    def recording_run(self):
+        run(self)
+        engines.append(self)
+
+    def recording_spair(self, i, j, lcm=None):
+        if engines and self is engines[0]:
+            pairs.append((i, j, lcm))
+        return spair(self, i, j, lcm)
+
+    monkeypatch.setattr(groebner._Engine, "run", recording_run)
+    monkeypatch.setattr(groebner._Engine, "spair", recording_spair)
+    seen = dict.fromkeys(("pruned", "retired", "coprime", "single"), 0)
     rng = random.Random(1980)
-    for trial in range(40):
-        R = ring(rng.choice([2, 3, 5, 7]), "x", "y", "z")
-        rank = 1 if trial < 24 else 2
+    for trial in range(64):
+        order = GREVLEX if trial < 40 else (LEX, DEGLEX)[trial % 2]
+        R = PolyRing(rng.choice([2, 3, 5, 7]), ("x", "y", "z"), order)
+        rank = 1 if trial < 24 or trial >= 40 and trial % 4 < 2 else 2
         m = rng.randint(2, 4) if rank == 1 else rng.randint(3, 4)
-        degs = [rng.randint(1, 2) for _ in range(m)]
+        degs = [rng.randint(1, 2 if trial < 40 else 3) for _ in range(m)]
         gens = []
         for d in degs:
-            parts = [_homogeneous(R, rng, d) for _ in range(rank)]
+            most = 3 if trial < 40 or rng.random() < 0.6 else 1
+            parts = [_homogeneous(R, rng, d, most) for _ in range(rank)]
             if rank == 2 and rng.random() < 0.3:
                 parts[rng.randrange(2)] = R.zero()
             gens.append(FreeModuleElement.from_components(R, parts))
+        engines.clear()
+        pairs.clear()
         syz = syzygies(gens)
         _assert_kills(syz, gens)
+        eng = engines[0]
+        at_pos = [sum(t >> eng.bits == pos for t in eng.lts)
+                  for pos in range(rank)]
+        seen["pruned"] += len(pairs) < sum(n * (n - 1) // 2 for n in at_pos)
+        seen["retired"] += sum(bin(ix.single | ix.multi).count("1")
+                               for ix in eng.index.values()) < len(eng.lts)
+        for i, j, lcm in pairs:
+            seen["coprime"] += lcm == eng.ltmonos[i] + eng.ltmonos[j]
+            seen["single"] += any(all(t >= eng.top for t in eng.basis[k][::3])
+                                  for k in (i, j))
         weights = []
         for s in syz:
             shifted = {sum(exps) + degs[i] for i, exps, _ in s.entries()}
@@ -1039,12 +1109,13 @@ def test_syzygies_match_dense_kernels():
             kernel = len(images) - gauss_rank_mod_p(images, R.p)
             spans = _degree_rows(syz, weights, degree, R.nvars, {})
             assert gauss_rank_mod_p(spans, R.p) == kernel
+    assert all(seen.values()), seen
 
 
 @pytest.mark.slow
 def test_syzygies_of_five_rank2_vectors():
-    # 10-14 s on 2 cores, most of it in the final Groebner run over the
-    # raw syzygies
+    # 15-18 s on 2 cores, nearly all of it in the final Groebner run over
+    # its 33 raw syzygies (test_syzygy_pass_work)
     R = ring(5, "x", "y", "z")
     gens = _rank2_vectors(R)
     syz = syzygies(gens)

@@ -461,29 +461,43 @@ _DEEP_BASIS = 500_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every command takes the same arguments: one set of actions, shared
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("file", help="problem file path")
+    common.add_argument("--nmax", type=int, default=2)
+    common.add_argument("--module", type=str, default=None)
+    common.add_argument("--ideal", type=str, default=None)
+    common.add_argument("--d", type=int, default=None,
+                        help="override the ring dimension used in fits")
+    common.add_argument("--rank", type=int, default=None,
+                        help="assert the module rank for delta reports")
+    common.add_argument("--budget-pairs", type=int, default=None,
+                        help="cap on Buchberger pairs processed")
+    common.add_argument("--json", type=str, default=None,
+                        help="write the report to this path")
+    common.add_argument("--closed-form", type=str, default=None,
+                        help="closed form expression or declared name")
+    common.add_argument("--deep", action="store_true",
+                        help="raise the default computation budget")
     parser = _Parser(
         prog="hilbertkunz",
         description="Hilbert-Kunz series, fits and checks over F_p")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(_COMMANDS):
-        c = sub.add_parser(name)
-        c.add_argument("file", help="problem file path")
-        c.add_argument("--nmax", type=int, default=2)
-        c.add_argument("--module", type=str, default=None)
-        c.add_argument("--ideal", type=str, default=None)
-        c.add_argument("--d", type=int, default=None,
-                       help="override the ring dimension used in fits")
-        c.add_argument("--rank", type=int, default=None,
-                       help="assert the module rank for delta reports")
-        c.add_argument("--budget-pairs", type=int, default=None,
-                       help="cap on Buchberger pairs processed")
-        c.add_argument("--json", type=str, default=None,
-                       help="write the report to this path")
-        c.add_argument("--closed-form", type=str, default=None,
-                       help="closed form expression or declared name")
-        c.add_argument("--deep", action="store_true",
-                       help="raise the default computation budget")
+        sub.add_parser(name, parents=[common])
     return parser
+
+
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first command, not at import, and
+    kept: a build takes as long as some twenty parses."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
 
 
 def _make_budget(args) -> Budget:
@@ -512,7 +526,7 @@ def _run(argv: List[str]) -> tuple:
     exit_code = 0
     json_path = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         json_path = args.json
         for flag, value in (("--nmax", args.nmax),
                             ("--budget-pairs", args.budget_pairs),

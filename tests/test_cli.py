@@ -677,6 +677,28 @@ def test_make_budget(flags, pairs, basis):
                                             max_basis=basis)
 
 
+def test_the_parser_is_built_once(tmp_path, monkeypatch):
+    # built on the first command and kept: a command that fails to parse
+    # leaves it usable for the next one
+    builds = []
+    build = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    path = write(tmp_path, REGULAR)
+    report, code = run_command(["series", path, "--bogus"])
+    assert (code, report["error"]["kind"]) == (1, "usage")
+    report, code = run_command(
+        ["series", path, "--module", "M", "--ideal", "I", "--nmax", "1"])
+    assert code == 0
+    assert [e["e"] for e in report["results"]] == ["1", "9"]
+    assert len(builds) == 1
+
+
 @pytest.mark.slow
 def test_determinantal_e5_fit_with_deep():
     # 17-25 s on a 2-core machine, nearly all of it the Buchberger run

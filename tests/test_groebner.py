@@ -536,6 +536,10 @@ SHEARED_QUARTIC_STEPS = {2: 3370, 3: 122756}
 # pops that the chain criterion skips in the same runs
 SHEARED_QUARTIC_CHAINED = {2: 22, 3: 237}
 
+# pops that one reducer lookup decides in the same runs: a single term
+# paired with an element of one tail term
+SHEARED_QUARTIC_SINGLE = {2: 4, 3: 14}
+
 
 @pytest.mark.parametrize("n, popped, added, leads, length", [
     (2, 128, 47, 46, 43017),
@@ -560,6 +564,12 @@ def test_sheared_quartic_run_shape(n, popped, added, leads, length,
         (popped, added, leads, length)
     assert eng.reduction_steps == SHEARED_QUARTIC_STEPS[n]
     assert eng.pairs_chained == SHEARED_QUARTIC_CHAINED[n]
+    assert eng.pairs_single == SHEARED_QUARTIC_SINGLE[n]
+
+
+# pops that one reducer lookup decides there: all but the two pairs of
+# binomials
+DETERMINANTAL_SINGLE = {2: 214, 3: 1618}
 
 
 @pytest.mark.parametrize("n, popped, added, leads, steps, chained, length", [
@@ -585,6 +595,104 @@ def test_determinantal_run_shape(n, popped, added, leads, steps, chained,
             len(groebner.GroebnerBasis(eng)), eng.reduction_steps) == \
         (popped, added, leads, steps)
     assert eng.pairs_chained == chained
+    assert eng.pairs_single == DETERMINANTAL_SINGLE[n]
+
+
+def _general_run(self):
+    # _Engine.run with every pop through spair and reduce: the oracle for
+    # the pops that one reducer lookup decides
+    while self.pairs:
+        _, i, j, pos, lcm = heapq.heappop(self.pairs)
+        if self._chained(i, j, pos, lcm):
+            self.pairs_chained += 1
+            continue
+        self.pairs_popped += 1
+        svec, keys = self.spair(i, j, lcm)
+        r = self.reduce(svec, keys)
+        if r and next(iter(r)) < self.top:
+            self._update_pairs(self.add(r, keys))
+
+
+def _rows(R, rows):
+    return [FreeModuleElement.from_components(R, [R.parse(c) for c in row])
+            for row in rows]
+
+
+def _run_one_pair(R, rows, run, monkeypatch):
+    """(engine, vectors handed to reduce) of a run that starts from rows,
+    added without their pairs, and the one pair (0, 1) queued."""
+    vecs = _rows(R, rows)
+    eng = groebner._Engine(R, vecs[0].rank, R.order, groebner.DEFAULT_BUDGET)
+    for v in vecs:
+        eng.add(dict(v._d))
+    lcm = R.mono_lcm(eng.ltmonos[0], eng.ltmonos[1])
+    heapq.heappush(eng.pairs, (eng.monokeyf(lcm), 0, 1,
+                               eng.lts[0] >> R.mono_bits, lcm))
+    reduced = []
+    reduce = groebner._Engine.reduce
+
+    def recording(self, work, keys=None):
+        reduced.append(dict(work))
+        return reduce(self, work, keys)
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner._Engine, "reduce", recording)
+        run(eng)
+    return eng, reduced
+
+
+@pytest.mark.parametrize("names, rows, shape, reduced, leads", [
+    # x^2 with x*y - z^2 gives x*z^2, which the single term x*z divides:
+    # a zero remainder, one step
+    ("xyz", [["x^2"], ["x*y - z^2"], ["x*z"]], (1, 1, 1), [], []),
+    # no divisor: x*z^2 is a new element, then its pair with x*y - z^2
+    # gives z^4 the same way (the binomial comes first here)
+    ("xyz", [["x*y - z^2"], ["x^2"]], (2, 2, 0), [],
+     [(0, (1, 0, 2)), (0, (0, 0, 4))]),
+    # only the binomial x*z - w^2 divides x*z^2: reduce gets the S-vector
+    # and leaves z*w^2, whose pair with x*z - w^2 then gives w^4 at once
+    ("xyzw", [["x^2"], ["x*y - z^2"], ["x*z - w^2"]], (2, 1, 1),
+     [{(0, (1, 0, 2, 0)): 1}], [(0, (0, 0, 1, 2)), (0, (0, 0, 0, 4))]),
+    # rank 2: the one tail term y*e1 of x*e0 + y*e1 lies at a position
+    # with no lead yet, so x*y*e1 is new there
+    ("xy", [["x^2", "0"], ["x", "y"]], (1, 1, 0), [], [(1, (1, 1))]),
+])
+def test_one_lookup_decides_single_term_pairs(names, rows, shape, reduced,
+                                              leads, monkeypatch):
+    # (pops, pops decided by one lookup, reduction steps), the one-term
+    # vectors handed to reduce and the leads added, against the run that
+    # takes every pop through spair and reduce
+    R = ring(5, *names)
+    eng, sent = _run_one_pair(R, rows, groebner._Engine.run, monkeypatch)
+    assert (eng.pairs_popped, eng.pairs_single, eng.reduction_steps) == shape
+    assert [{(t >> R.mono_bits, R.unpack(t & R.mono_mask)): c
+             for t, c in v.items()} for v in sent] == reduced
+    added = eng.lts[len(rows):]
+    assert [(t >> R.mono_bits, R.unpack(t & R.mono_mask))
+            for t in added] == leads
+    ref, _ = _run_one_pair(R, rows, _general_run, monkeypatch)
+    assert (ref.pairs_popped, ref.pairs_chained, ref.reduction_steps) == \
+        (eng.pairs_popped, eng.pairs_chained, eng.reduction_steps)
+    assert (ref.lts, ref.ltkeys, ref.basis) == \
+        (eng.lts, eng.ltkeys, eng.basis)
+    # the whole basis of the same inputs, on both runs
+    gb = buchberger(_rows(R, rows))
+    assert gb.verify()
+    with monkeypatch.context() as m:
+        m.setattr(groebner._Engine, "run", _general_run)
+        ref_gb = buchberger(_rows(R, rows))
+    assert gb.elements == ref_gb.elements
+
+
+def test_single_term_pair_overflow():
+    # x*y - z^20000 and y*z^13000 meet at x*y*z^13000, where the tail
+    # z^20000 becomes z^33000: the run raises before any reduction, as
+    # spair does for the other pairs
+    R = PolyRing(5, ["x", "y", "z"], order=LEX)
+    with pytest.raises(ExponentOverflowError) as err:
+        buchberger([R.parse("x*y - z^20000"), R.parse("y*z^13000")], LEX)
+    names = [entry.name for entry in err.traceback]
+    assert names[-2:] == ["run", "_raise_overflow"]
 
 
 def test_reduction_pushes_each_term_once(monkeypatch):

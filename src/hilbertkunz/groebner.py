@@ -100,20 +100,26 @@ def _members(bits: int) -> list:
 def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     """Standard monomials of a minimal Artinian packed staircase.
 
-    Slabs between consecutive exponents of the lowest field (gens[0] <=
-    0xFFFF is its pure power, and every other lead lies below it there)
-    times their slice counts.  The slab at cut lo is the minimal set of
-    the projections (lowest field dropped) of the leads at or below lo,
-    built from the previous slab as the cuts sweep upward: if g's
-    projection divides h's, g lies above h in the lowest field, or g
-    would divide h.  So the projections of the leads at lo are divided by
-    no older one nor by each other, and the slab is those plus the older
-    ones that none of them divides, sorted for the memo key.
-    Memo keys need no level: a k-variable staircase holds a pure power
-    >= 2**(16 * (k - 1)), and every value at fewer variables is below it.
+    One field: gens[0] is its pure power.  Two fields, in closed form:
+    sorted, the leads ascend in the high field h and descend in the low
+    field l, so the count is the sum of (h_(i+1) - h_i) * l_i.  More
+    fields: slabs between consecutive exponents of the lowest field
+    (gens[0] <= 0xFFFF is its pure power, and every other lead lies below
+    it there) times their slice counts.  The slab at cut lo is the minimal
+    set of the projections (lowest field dropped) of the leads at or below
+    lo, built from the previous slab as the cuts sweep upward: if g's
+    projection divides h's, g lies above h in the lowest field, or g would
+    divide h.  So the projections of the leads at lo are divided by no
+    older one nor by each other, and the slab is those plus the older ones
+    that none of them divides, sorted.  A two-field slab is counted in
+    place; a larger one is memoized under its tuple.  Memo keys need no
+    level: a k-variable staircase holds a pure power >= 2**(16 * (k - 1)),
+    and every value at fewer variables is below it.
     """
     if guards == 0x8000:
         return gens[0]
+    if guards == _TWO_FIELDS:
+        return _count_two_fields(gens)
     hit = memo.get(gens)
     if hit is not None:
         return hit
@@ -137,8 +143,24 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
                 kept.append(s)
         slab = kept + new
         slab.sort()
-        total += (hi - lo) * _count_standard(tuple(slab), lower, memo)
+        total += (hi - lo) * (_count_two_fields(slab)
+                              if lower == _TWO_FIELDS else
+                              _count_standard(tuple(slab), lower, memo))
     memo[gens] = total
+    return total
+
+
+_TWO_FIELDS = 0x8000_8000
+
+
+def _count_two_fields(gens) -> int:
+    """_count_standard of sorted minimal two-field leads."""
+    total = 0
+    h0 = l0 = 0
+    for g in gens:
+        h = g >> 16
+        total += (h - h0) * l0
+        h0, l0 = h, g & 0xFFFF
     return total
 
 
@@ -391,20 +413,29 @@ class _LeadIndex:
 
     Bit k of each int stands for element k.  single and multi hold the
     live single-term and multi-term elements, and raw the elements added
-    as inputs rather than as remainders of reduce.  fields holds, for each variable, its shift,
-    its distinct lead exponents ascending, and above, where above[j]
-    holds the elements, live or retired, whose exponent there is at least
-    exps[j] (above[-1] is empty).  A lead divides t unless, in some
-    variable, it lies above t's exponent, and it is a multiple of m when
-    it lies at or above m's in every variable: bisect each field and OR,
-    or AND, the bitsets.
+    as inputs rather than as remainders of reduce.  fields holds, for
+    each variable, its shift, its distinct lead exponents ascending, and
+    two tiers of "at least" bitsets: entry j of either tier holds the
+    elements, live or retired, whose exponent there is at least exps[j]
+    (the last entry is empty).  The old tier holds the elements below
+    base at their own bits, the new tier the rest at bit k - base, so an
+    add touches only ints of at most MERGE bits; once an element lies
+    MERGE or more above base, the new tier is shifted up by base and ORed
+    into the old one, and base moves to that element.  A lead divides t
+    unless, in some variable, it lies above t's exponent, and it is a
+    multiple of m when it lies at or above m's in every variable: bisect
+    each field and OR, or AND, the bitsets of each tier, then join the
+    tiers with one shift.
     """
 
-    __slots__ = ("single", "multi", "raw", "fields")
+    __slots__ = ("single", "multi", "raw", "fields", "base")
+
+    MERGE = 1024
 
     def __init__(self, nvars: int):
         self.single = self.multi = self.raw = 0
-        self.fields = [(sh, [], [0]) for sh in range(0, 16 * nvars, 16)]
+        self.base = 0
+        self.fields = [(sh, [], [0], [0]) for sh in range(0, 16 * nvars, 16)]
 
     def add(self, k: int, mono: int, single: bool, raw: bool):
         """Index element k, whose lead has the monomial of mono.
@@ -414,15 +445,25 @@ class _LeadIndex:
         variable a lead lacks), where "at most" bitsets would take it
         at nearly every exponent.
         """
-        bit = 1 << k
-        for sh, exps, above in self.fields:
+        base = self.base
+        if k - base >= self.MERGE:
+            for _, _, new, old in self.fields:
+                for i, bits in enumerate(new):
+                    if bits:
+                        old[i] |= bits << base
+                new[:] = [0] * len(new)
+            self.base = base = k
+        bit = 1 << k - base
+        for sh, exps, new, old in self.fields:
             e = mono >> sh & 0xFFFF
             j = bisect_left(exps, e)
             if j == len(exps) or exps[j] != e:
                 exps.insert(j, e)
-                above.insert(j, above[j])
+                new.insert(j, new[j])
+                old.insert(j, old[j])
             for i in range(j + 1):
-                above[i] |= bit
+                new[i] |= bit
+        bit = 1 << k
         if single:
             self.single |= bit
         else:
@@ -430,12 +471,20 @@ class _LeadIndex:
         if raw:
             self.raw |= bit
 
-    def divisors(self, t: int) -> int:
-        """Live elements whose lead divides the monomial of t."""
+    def divisors(self, t: int, low: int = 0) -> int:
+        """Live elements k >= low, at bit k - low, whose lead divides the
+        monomial of t; from low = base on, the old tier is not read."""
+        base = self.base
+        fields = self.fields
         out = 0
-        for sh, exps, above in self.fields:
-            out |= above[bisect_right(exps, t >> sh & 0xFFFF)]
-        return (self.single | self.multi) & ~out
+        for sh, exps, new, _ in fields:
+            out |= new[bisect_right(exps, t >> sh & 0xFFFF)]
+        if low >= base:
+            return (self.single | self.multi) >> low & ~(out >> low - base)
+        out <<= base
+        for sh, exps, _, old in fields:
+            out |= old[bisect_right(exps, t >> sh & 0xFFFF)]
+        return ((self.single | self.multi) & ~out) >> low
 
     def reducer(self, t: int) -> int:
         """The lowest live single-term divisor of t, else the lowest live
@@ -446,10 +495,14 @@ class _LeadIndex:
 
     def multiples(self, m: int) -> int:
         """Live elements whose lead is a multiple of the monomial of m."""
-        out = self.single | self.multi
-        for sh, exps, above in self.fields:
-            out &= above[bisect_left(exps, m >> sh & 0xFFFF)]
-        return out
+        base = self.base
+        out_old = self.single | self.multi
+        out_new = out_old >> base
+        for sh, exps, new, old in self.fields:
+            j = bisect_left(exps, m >> sh & 0xFFFF)
+            out_new &= new[j]
+            out_old &= old[j]
+        return out_old | out_new << base
 
 
 class _Engine:
@@ -476,7 +529,9 @@ class _Engine:
     key(1), so a shifted term's key is its stored key plus an offset per
     reduction step and the kernel calls no key function.  The kernel,
     reduce, pushes each term onto its heap once and hands add the keys
-    of a remainder, lead first.
+    of a remainder, lead first.  The pair heap is keyed by monokey(lcm),
+    so run keys a pair's lcm term from the popped key and calls no key
+    function either.
 
     A term at a position >= rank, a tag, gets a key below every module
     term (position over term counts down from position 0, and the keys
@@ -583,7 +638,8 @@ class _Engine:
         lists its lead first, as a remainder of reduce does.  An element
         added without keys is raw: no reduction vouches that no live lead
         divides its lead (see GroebnerBasis).  Whether it lies on one
-        position and has a single term is read off its module terms.
+        position and has a single term is read off its module terms; a
+        one-term vector is its lead, a single term on one position.
         """
         raw = keys is None
         if raw:
@@ -600,30 +656,43 @@ class _Engine:
         if idx >= self.budget.max_basis:
             raise BudgetExceededError("buchberger basis",
                                       self.budget.max_basis, idx + 1)
-        pos = lt >> self.bits
-        self.basis.append(tuple(x for t, c in vec.items() if t != lt
-                                for x in (t, c, keys[t])))
+        bits = self.bits
+        pos = lt >> bits
+        if len(vec) == 1:
+            self.basis.append(())
+            one_pos = single = True
+        else:
+            self.basis.append(tuple(x for t, c in vec.items() if t != lt
+                                    for x in (t, c, keys[t])))
+            top = self.top
+            one_pos = all(t >> bits == pos for t in vec if t < top)
+            single = sum(t < top for t in vec) == 1
         self.lts.append(lt)
         self.ltkeys.append(keys[lt])
         self.ltmonos.append(lt & self.mask)
-        top = self.top
-        self.one_pos.append(all(t >> self.bits == pos
-                                for t in vec if t < top))
+        self.one_pos.append(one_pos)
         index = self.index.get(pos)
         if index is None:
             index = self.index[pos] = _LeadIndex(self.ring.nvars)
-        index.add(idx, lt, sum(t < top for t in vec) == 1, raw)
+        index.add(idx, lt, single, raw)
         return idx
 
     def _minimal_pairs(self, t: int, partners: int) -> list:
         """(lcm, partners) per minimal lcm of t's lead with a partner's
-        (partners a bitset): the pair rule of the run and the syzygy pass."""
-        mono_t = self.ltmonos[t]
+        (partners a bitset): the pair rule of the run and the syzygy pass.
+        The lcm is mono_lcm's, inlined."""
+        ltmonos = self.ltmonos
+        mono_t = ltmonos[t]
+        g = self.guards
         groups: dict = {}
         for i in _members(partners):
-            groups.setdefault(self.ring.mono_lcm(self.ltmonos[i], mono_t),
-                              []).append(i)
-        return [(v, groups[v]) for v in _minimal(sorted(groups), self.guards)]
+            m = ltmonos[i]
+            ge = ((m | g) - mono_t) & g
+            keep = ge - (ge >> 15)
+            groups.setdefault((m & keep) | (mono_t & ~keep), []).append(i)
+        if len(groups) == 1:
+            return list(groups.items())
+        return [(v, groups[v]) for v in _minimal(sorted(groups), g)]
 
     def _update_pairs(self, t: int):
         """Gebauer-Moeller update: queue pairs for the new element t.
@@ -638,36 +707,45 @@ class _Engine:
         Queued pairs are not scanned: the new lead's chain criterion on
         them is applied when run pops them.
         """
-        mono_t = self.ltmonos[t]
+        ltmonos = self.ltmonos
+        mono_t = ltmonos[t]
         pos = self.lts[t] >> self.bits
         index = self.index[pos]
+        bit = 1 << t
         # candidate pairs against the live same-position elements; the
         # S-vector of two single terms is zero but for tags
-        partners = index.multi if index.single >> t & 1 else \
+        partners = index.multi if index.single & bit else \
             index.single | index.multi
-        # one representative per minimal lcm; none when the product
-        # criterion fires
-        monokey = self.monokeyf
-        for lcm_v, idxs in self._minimal_pairs(t, partners & ~(1 << t)):
-            if self.one_pos[t] and any(
-                    self.one_pos[i] and lcm_v == self.ltmonos[i] + mono_t
-                    for i in idxs):
-                continue
-            i = min(idxs)
-            heapq.heappush(self.pairs, (monokey(lcm_v), i, t, pos, lcm_v))
+        partners &= ~bit
+        if partners:
+            # one representative per minimal lcm; none when the product
+            # criterion fires
+            one_pos = self.one_pos
+            one_t = one_pos[t]
+            monokey = self.monokeyf
+            pairs = self.pairs
+            for lcm_v, idxs in self._minimal_pairs(t, partners):
+                if one_t and any(one_pos[i] and lcm_v == ltmonos[i] + mono_t
+                                 for i in idxs):
+                    continue
+                heapq.heappush(pairs, (monokey(lcm_v), idxs[0], t, pos,
+                                       lcm_v))
         # retire superseded elements from pair formation and reduction
-        gone = index.multiples(mono_t) & ~(1 << t)
-        index.single &= ~gone
-        index.multi &= ~gone
+        gone = index.multiples(mono_t) & ~bit
+        if gone:
+            index.single &= ~gone
+            index.multi &= ~gone
 
-    def spair(self, i: int, j: int, lcm: Optional[int] = None) -> tuple:
+    def spair(self, i: int, j: int, lcm: Optional[int] = None,
+              klcm: Optional[int] = None) -> tuple:
         """(vector, keys) of the S-pair of elements i and j.
 
         vector is u_i g_i - u_j g_j scaled to cancel the (monic) leads and
         keys the term key of each of its terms: u_i g_i leads with
         (pos, lcm), so a shifted tail term's key is its stored key plus
-        key(pos | lcm) - key(lead of g_i).  Tag terms are tail terms, so
-        the vector carries the same difference of the representations.
+        klcm - key(lead of g_i), klcm = key(pos | lcm), which run passes
+        from the pair's heap key.  Tag terms are tail terms, so the vector
+        carries the same difference of the representations.
         """
         ltmonos = self.ltmonos
         if lcm is None:
@@ -676,7 +754,8 @@ class _Engine:
         guards = self.guards
         ui = lcm - ltmonos[i]
         uj = lcm - ltmonos[j]
-        klcm = self.keyf(self.lts[i] + ui)
+        if klcm is None:
+            klcm = self.keyf(self.lts[i] + ui)
         vec: dict = {}
         keys: dict = {}
         for e, u, sign in ((i, ui, 1), (j, uj, -1)):
@@ -704,7 +783,7 @@ class _Engine:
         element u whose lead divides t's, so lcm(i, u) and lcm(j, u)
         divide lcm(i, t) and lcm(j, t) and u is a witness too.
         """
-        later = self.index[pos].divisors(lcm) >> (j + 1)
+        later = self.index[pos].divisors(lcm, j + 1)
         if not later:
             return False
         ltmonos = self.ltmonos
@@ -733,8 +812,7 @@ class _Engine:
         reducer lookup decides the pair without spair or reduce:
         - a live single-term divisor: a zero remainder, one reduction step;
         - no divisor: t is the new element, keyed by the stored tail key
-          plus key(pos | lcm) - key(lead), the only case that calls the
-          key function;
+          plus key(pos | lcm) - key(lead);
         - only multi-term divisors: the one-term vector goes to reduce.
         reduce would pop t, take the same reducer and, for a single-term
         one, leave nothing at a module position (its tags, if any, lead a
@@ -743,14 +821,25 @@ class _Engine:
         the first two cases: all but 2 of 1620 on the determinantal run
         for Q + m^[27], against 14 of 810 on the sheared quartic at q =
         125.  t may lie at a position with no lead yet, hence index.get.
+
+        No pop calls a key function: the heap key is monokey(lcm), and
+        keys add, so key(pos | lcm) is key(pos | 1) - monokey(1) plus the
+        heap key, 1 the unit monomial; the difference is taken once per
+        position when run starts.
         """
         pairs = self.pairs
         basis = self.basis
         index = self.index
         ltmonos = self.ltmonos
+        ltkeys = self.ltkeys
         top = self.top
+        bits = self.bits
+        guards = self.guards
+        pop = heapq.heappop
+        one = self.monokeyf(0)
+        poskey = [self.keyf(pos << bits) - one for pos in range(self.rank)]
         while pairs:
-            _, i, j, pos, lcm = heapq.heappop(pairs)
+            mkey, i, j, pos, lcm = pop(pairs)
             if self._chained(i, j, pos, lcm):
                 self.pairs_chained += 1
                 continue
@@ -759,26 +848,26 @@ class _Engine:
                 raise BudgetExceededError("buchberger pairs",
                                           self.budget.max_pairs,
                                           self.pairs_popped)
+            klcm = poskey[pos] + mkey     # key(pos | lcm)
             bi, bj = basis[i], basis[j]
             # e: the element of one tail term, a module one, paired with a
             # single term that has no tail
             e = (j if not bi and len(bj) == 3 and bj[0] < top else
                  i if not bj and len(bi) == 3 and bi[0] < top else -1)
             if e < 0:
-                svec, keys = self.spair(i, j, lcm)
+                svec, keys = self.spair(i, j, lcm, klcm)
             else:
                 tail, c, key = basis[e]
                 t = tail + lcm - ltmonos[e]
-                if t & self.guards:
+                if t & guards:
                     _raise_overflow()
-                idx = index.get(t >> self.bits)
+                idx = index.get(t >> bits)
                 k = idx.reducer(t) if idx else -1
                 if k >= 0 and idx.single >> k & 1:
                     self.pairs_single += 1
                     self.reduction_steps += 1
                     continue
-                keys = {t: key + self.keyf((pos << self.bits) + lcm)
-                        - self.ltkeys[e]}
+                keys = {t: key + klcm - ltkeys[e]}
                 if k < 0:
                     self.pairs_single += 1
                     self._update_pairs(self.add({t: 1}, keys))

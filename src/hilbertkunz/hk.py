@@ -501,19 +501,24 @@ def _usable_cpus() -> int:
 
 
 def _run_family(ring: RingPresentation, ideal: IdealHandle, n_max: int,
-                family: Sequence[ModulePresentation]) -> bool:
+                family: Sequence[ModulePresentation], each=None) -> int:
     """e_n of each module of the family, n = 0..n_max, into the cache.
 
-    Whether every request finished: an error just ends the family, and
-    the caller's own requests meet it again and report it.
+    Returns the first n that did not finish, n_max + 1 when all did: an
+    error just ends the family, and the caller's own requests meet it
+    again and report it.  each(), when given, runs after every n, the
+    one an error ended included.
     """
-    try:
-        for n in range(n_max + 1):
+    for n in range(n_max + 1):
+        try:
             for module in family:
                 en_module(ring, module, ideal, n)
-    except Exception:
-        return False
-    return True
+        except Exception:
+            return n
+        finally:
+            if each is not None:
+                each()
+    return n_max + 1
 
 
 def _prefetch_lengths(ring: RingPresentation, module: ModulePresentation,
@@ -524,16 +529,19 @@ def _prefetch_lengths(ring: RingPresentation, module: ModulePresentation,
 
     delta_n reads e_n(M) and e_n(R); tor1_length reads e_n(N) of the
     column module, e_n(T) and e_n(R).  M, or N, runs here and the rest in
-    one forked child, which sends back its new lengths and budget stops
-    (see RingPresentation._memo) through a pipe, merged with setdefault,
-    so neither family's stop is run again.  Syzygies stay here: the first
-    family needs them, and T's cokernel is built before the fork.  No fork
-    without os.fork, without 2 usable CPUs, or beside another thread,
-    whose locks the child could inherit held.  The caller's own requests
-    then compute whatever is missing and meet every error themselves.
-    The child is always reaped, and killed first unless this process
-    finished its family: the caller stops there too, before it reads
-    most of the child's lengths.
+    one forked child.  After each n the child sends its new lengths and
+    budget stops (see RingPresentation._memo) through a pipe as one
+    record, a length-prefixed marshal of a dict, merged here with
+    setdefault, so neither family's stop is run again.  Syzygies stay
+    here: the first family needs them, and T's cokernel is built before
+    the fork.  No fork without os.fork, without 2 usable CPUs, or beside
+    another thread, whose locks the child could inherit held.  The
+    caller's own requests then compute whatever is missing and meet every
+    error themselves.
+    When this family stops at n, the caller stops there too, so it reads
+    only the child's records before n: they are awaited, the child is
+    killed and reaped, and the rest is never computed twice.  Otherwise
+    every record is read and the child reaped.
     """
     if (not hasattr(os, "fork") or _usable_cpus() < 2
             or threading.active_count() > 1):
@@ -553,30 +561,38 @@ def _prefetch_lengths(ring: RingPresentation, module: ModulePresentation,
         try:
             os.close(read_end)
             known = set(ring._cache)
-            _run_family(ring, ideal, n_max, there)
-            new = {key: None if value is INFINITE else value
-                   for key, value in ring._cache.items()
-                   if key[0] in ("colength", "stop") and key not in known}
             with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(new))
+                def ship():
+                    new = {key: None if value is INFINITE else value
+                           for key, value in ring._cache.items()
+                           if key[0] in ("colength", "stop")
+                           and key not in known}
+                    known.update(new)
+                    record = marshal.dumps(new)
+                    pipe.write(len(record).to_bytes(8, "big") + record)
+                    pipe.flush()
+
+                _run_family(ring, ideal, n_max, there, ship)
         finally:
             os._exit(0)
     os.close(write_end)
-    data = b""
+    done = -1
     try:
         with os.fdopen(read_end, "rb") as pipe:
-            if _run_family(ring, ideal, n_max, here):
-                data = pipe.read()
+            done = _run_family(ring, ideal, n_max, here)
+            for _ in range(done):
+                head = pipe.read(8)
+                size = int.from_bytes(head, "big")
+                body = pipe.read(size)
+                if len(head) < 8 or len(body) < size:
+                    break                 # the child died, or its family ended
+                for key, value in marshal.loads(body).items():
+                    ring._cache.setdefault(
+                        key, INFINITE if value is None else value)
     finally:
-        if not data:
+        if done <= n_max:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    try:
-        shipped = marshal.loads(data)
-    except (EOFError, ValueError):       # killed, or died before it wrote
-        return
-    for key, value in shipped.items():
-        ring._cache.setdefault(key, INFINITE if value is None else value)
 
 
 def series(ring: RingPresentation, module: ModulePresentation,

@@ -5,7 +5,7 @@ import heapq
 import pathlib
 import random
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
@@ -279,13 +279,10 @@ def lead_index_runs(draw):
     return R, rank, steps
 
 
-@settings(max_examples=150, deadline=None)
-@given(lead_index_runs())
-def test_lead_index_matches_a_list_scan(case):
+def _check_lead_index(R, rank, steps):
     # the reducer is the first live divisor, single-term elements before
     # the rest, then in index order; a pair update retires every other
     # live element whose lead the new lead divides
-    R, rank, steps = case
     bits, mask = R.mono_bits, R.mono_mask
     eng = groebner._Engine(R, rank, R.order, groebner.DEFAULT_BUDGET)
     live = []
@@ -312,8 +309,65 @@ def test_lead_index_matches_a_list_scan(case):
                 divisors, key=lambda i: (len(eng.basis[i]) > 0, i),
                 default=-1)
             assert groebner._members(index.divisors(t)) == sorted(divisors)
+            for low in {1, index.base, k // 2, k}:
+                assert index.divisors(t, low) == sum(
+                    1 << i - low for i in divisors if i >= low)
             assert groebner._members(index.multiples(t)) == sorted(
                 i for i in live if divides(t, eng.lts[i]))
+    return eng
+
+
+@settings(max_examples=150, deadline=None)
+@given(lead_index_runs())
+def test_lead_index_matches_a_list_scan(case):
+    _check_lead_index(*case)
+
+
+def test_lead_index_across_merges_matches_a_list_scan(monkeypatch):
+    # with the new tier merged into the old every 3 elements, 90 elements
+    # cross many merges, and divisors, reducer and multiples still answer
+    # as a list scan does, also for a low bound below, at or above base
+    monkeypatch.setattr(groebner._LeadIndex, "MERGE", 3)
+    rng = random.Random(2626)
+    R = PolyRing(3, ["x", "y", "z"], order=GREVLEX)
+    steps = []
+    for k in range(90):
+        if steps and k % 4 == 0:
+            base = rng.choice(steps)[0]
+            u = R.pack([rng.randint(0, 1) for _ in range(3)])
+            vec = {t + u: c for t, c in base.items()}
+        else:
+            vec = {rng.randrange(2) << R.mono_bits
+                   | R.pack([rng.randint(0, 5) for _ in range(3)]): c
+                   for c in range(1, rng.randint(2, 3))}
+        steps.append((vec, k % 3 != 1))
+    eng = _check_lead_index(R, 2, steps)
+    assert min(index.base for index in eng.index.values()) > 60
+
+
+def test_merges_leave_the_determinantal_run_unchanged(monkeypatch):
+    # every pop, step, element and key of a run that merges every 8
+    # elements is that of the run that merges none
+    problem = parse_problem((REPO / "problems/determinantal.hk").read_text())
+    engines = []
+    run = groebner._Engine.run
+
+    def recording(self):
+        engines.append(self)
+        run(self)
+
+    monkeypatch.setattr(groebner._Engine, "run", recording)
+    shapes = []
+    for merge in (groebner._LeadIndex.MERGE, 8):
+        monkeypatch.setattr(groebner._LeadIndex, "MERGE", merge)
+        problem.ring._cache.clear()
+        assert en_cyclic(problem.ring, (), problem.ideals["m"], 2) == 10467
+        eng = engines[-1]
+        shapes.append((eng.pairs_popped, eng.pairs_chained, eng.pairs_single,
+                       eng.reduction_steps, eng.lts, eng.ltkeys, eng.basis))
+    assert shapes[0] == shapes[1]
+    assert shapes[0][:4] == (216, 0, 214, 112)
+    assert engines[-1].index[0].base >= 104
 
 
 # -- normal forms ---------------------------------------------------------------
@@ -400,10 +454,17 @@ def division_cases(draw):
 
     # no constant terms, so the unit ideal is rare
     gens = [element(3, 3, low=1) for _ in range(draw(st.integers(1, 3)))]
-    return order, buchberger(gens, order, ring=R, rank=rank), element(6, 8)
+    return order, buchberger(gens, order, ring=R, rank=rank,
+                             budget=DIVISION_BUDGET), element(6, 8)
 
 
-@settings(max_examples=150, deadline=None)
+# over 11000 draws the longest run popped 1202 pairs (72 s, lex, rank 2);
+# a run past 20 times that stops with its example printed and its blob
+# reproducible instead of running on
+DIVISION_BUDGET = Budget(max_pairs=25_000)
+
+
+@settings(max_examples=150, deadline=None, print_blob=True)
 @given(division_cases())
 def test_normal_form_matches_textbook_division(case):
     # normal forms modulo a Groebner basis are unique, so division that
@@ -684,6 +745,37 @@ def test_one_lookup_decides_single_term_pairs(names, rows, shape, reduced,
     assert gb.elements == ref_gb.elements
 
 
+# ideal and rank-2 inputs whose runs take pops both through spair and
+# through one reducer lookup, in every order
+KEYED_RUN_INPUTS = {
+    1: [["x^2"], ["x*y - z^2"], ["y^3 - x*z"], ["x*z^2 + y^2*z"], ["z^4"]],
+    2: [["x*y - z^2", "x"], ["x*y + y*z", "y^2"], ["x^2", "0"],
+        ["0", "y^3 - x*z"], ["z^3", "0"], ["0", "z^3"]],
+}
+
+
+@pytest.mark.parametrize("order", [LEX, DEGLEX, GREVLEX])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_stored_keys_are_the_term_keys(order, rank, monkeypatch):
+    # run keys a pair's lcm from its heap key, so every lead key and tail
+    # key it stores must still be the key function's value of its term
+    engines = []
+    run = groebner._Engine.run
+
+    def recording(self):
+        engines.append(self)
+        run(self)
+
+    monkeypatch.setattr(groebner._Engine, "run", recording)
+    R = PolyRing(5, ("x", "y", "z"), order)
+    buchberger(_rows(R, KEYED_RUN_INPUTS[rank]), ring=R, rank=rank)
+    (eng,) = engines
+    assert 0 < eng.pairs_single < eng.pairs_popped
+    assert eng.ltkeys == [eng.keyf(t) for t in eng.lts]
+    for tail in eng.basis:
+        assert list(tail[2::3]) == [eng.keyf(t) for t in tail[0::3]]
+
+
 def test_single_term_pair_overflow():
     # x*y - z^20000 and y*z^13000 meet at x*y*z^13000, where the tail
     # z^20000 becomes z^33000: the run raises before any reduction, as
@@ -829,6 +921,60 @@ def test_count_standard_sweep_matches_box_enumeration():
                                              zip(h[:-1], g[:-1]))
                        for g in kept for h in kept)
     assert shared >= 30 and dropped >= 30
+
+
+def _multiplicity_by_boxes(exps, nv, d):
+    """multiplicity(d) of the monomial ideal by box enumeration: the sum,
+    over the d-sets S of variables containing no generator's support, of
+    the box count of the generators with the S-exponents dropped; None
+    where such a projection lacks a pure power (dimension above d)."""
+    total = 0
+    for free in combinations(range(nv), d):
+        if any(all(i in free for i, a in enumerate(e) if a) for e in exps):
+            continue
+        proj = [tuple(a for i, a in enumerate(e) if i not in free)
+                for e in exps]
+        bounds = [min((g[j] for g in proj
+                       if not any(g[:j] + g[j + 1:])), default=None)
+                  for j in range(nv - d)]
+        if None in bounds:
+            return None
+        total += box_staircase_count(proj, bounds)
+    return total
+
+
+def test_two_field_counts_match_box_enumeration(monkeypatch):
+    # a two-field staircase is counted in closed form: a colength in two
+    # variables, a multiplicity(nv - 2), and the slabs of the colengths
+    # in three and four variables
+    calls = []
+    two_fields = groebner._count_two_fields
+    monkeypatch.setattr(groebner, "_count_two_fields",
+                        lambda gens: calls.append(1) or two_fields(gens))
+    rng = random.Random(2626)
+    seen = dict.fromkeys([(2, 0), (3, 0), (3, 1), (4, 0), (4, 2)], 0)
+    for trial in range(150):
+        nv = 2 + trial % 3
+        cap = {2: 12, 3: 6, 4: 4}[nv]
+        R = ring(3, *[f"x{i}" for i in range(nv)])
+        exps = [tuple(rng.randint(0, cap) for _ in range(nv))
+                for _ in range(rng.randint(1, 8))]
+        exps = [e for e in exps if any(e)]
+        for i in range(nv):
+            if rng.random() < 0.7:
+                exps.append(tuple(rng.randint(1, cap) if j == i else 0
+                                  for j in range(nv)))
+        stairs = Staircase(R, 1, [R.pack(e) for e in exps])
+        for d in {0, nv - 2}:
+            want = _multiplicity_by_boxes(exps, nv, d)
+            if want is None:
+                with pytest.raises(ValueError):
+                    stairs.multiplicity(d)
+                continue
+            calls.clear()
+            assert stairs.multiplicity(d) == want
+            seen[nv, d] += bool(calls) and want > 0
+    assert min(seen.values()) >= 5, seen
 
 
 def _permuted(exps, perm):
@@ -1171,10 +1317,10 @@ def test_syzygies_match_dense_kernels(monkeypatch):
         run(self)
         engines.append(self)
 
-    def recording_spair(self, i, j, lcm=None):
+    def recording_spair(self, i, j, lcm=None, klcm=None):
         if engines and self is engines[0]:
             pairs.append((i, j, lcm))
-        return spair(self, i, j, lcm)
+        return spair(self, i, j, lcm, klcm)
 
     monkeypatch.setattr(groebner._Engine, "run", recording_run)
     monkeypatch.setattr(groebner._Engine, "spair", recording_spair)

@@ -170,14 +170,14 @@ def _least_used_first(gens: tuple, nvars: int) -> tuple:
     The field that the fewest leads use (a nonzero exponent) moves to the
     lowest field, which _count_standard cuts first; ties keep ring order.
     Permuting fields renames variables, so divisibility, minimality and
-    the standard-monomial count are unchanged.
+    the standard-monomial count are unchanged.  Each field is read as one
+    column of exponents, and the leads are rebuilt a column at a time.
     """
-    shifts = range(0, 16 * nvars, 16)
-    order = sorted(shifts, key=lambda sh: sum(1 for g in gens
-                                              if g >> sh & 0xFFFF))
-    moves = [(src, 16 * k) for k, src in enumerate(order)]
-    return tuple(sorted(sum((g >> src & 0xFFFF) << dst for src, dst in moves)
-                        for g in gens))
+    cols = [[g >> sh & 0xFFFF for g in gens] for sh in range(0, 16 * nvars, 16)]
+    out = [0] * len(gens)
+    for k, col in enumerate(sorted(cols, key=lambda col: -col.count(0))):
+        out = [o | e << 16 * k for o, e in zip(out, col)]
+    return tuple(sorted(out))
 
 
 def _artinian(gens: tuple, nvars: int) -> bool:

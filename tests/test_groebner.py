@@ -458,9 +458,11 @@ def division_cases(draw):
                              budget=DIVISION_BUDGET), element(6, 8)
 
 
-# over 11000 draws the longest run popped 1202 pairs (72 s, lex, rank 2);
-# a run past 20 times that stops with its example printed and its blob
-# reproducible instead of running on
+# over about 17000 draws the longest finished run popped 1202 pairs (72 s,
+# lex, rank 2); a run past 20 times that stops with its example printed
+# and its blob reproducible instead of running on.  Not every runaway
+# gets there: a lex rank-2 draw whose elements carry about 12000 tail
+# terms each held 2.3 GB after 1428 pops
 DIVISION_BUDGET = Budget(max_pairs=25_000)
 
 

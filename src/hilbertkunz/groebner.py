@@ -488,8 +488,15 @@ class _LeadIndex:
 
     def reducer(self, t: int) -> int:
         """The lowest live single-term divisor of t, else the lowest live
-        divisor, else -1."""
-        cand = self.divisors(t)
+        divisor, else -1.  With no old tier, the new tier's bitsets are
+        read here: reduce asks this once per popped term."""
+        if self.base:
+            cand = self.divisors(t)
+        else:
+            out = 0
+            for sh, exps, new, _ in self.fields:
+                out |= new[bisect_right(exps, t >> sh & 0xFFFF)]
+            cand = (self.single | self.multi) & ~out
         cand = cand & self.single or cand
         return (cand & -cand).bit_length() - 1
 

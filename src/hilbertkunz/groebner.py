@@ -97,6 +97,9 @@ def _members(bits: int) -> list:
     return [k for k, b in enumerate(bin(bits)[:1:-1]) if b == "1"]
 
 
+_TWO_FIELDS = 0x8000_8000                 # the guards of two fields
+
+
 def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     """Standard monomials of a minimal Artinian packed staircase.
 
@@ -148,9 +151,6 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
                               _count_standard(tuple(slab), lower, memo))
     memo[gens] = total
     return total
-
-
-_TWO_FIELDS = 0x8000_8000
 
 
 def _count_two_fields(gens) -> int:

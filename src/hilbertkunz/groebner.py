@@ -100,8 +100,8 @@ def _members(bits: int) -> list:
 _TWO_FIELDS = 0x8000_8000                 # the guards of two fields
 
 
-def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
-    """Standard monomials of a minimal Artinian packed staircase.
+def _count_standard(gens, guards: int) -> int:
+    """Standard monomials of a sorted minimal Artinian packed staircase.
 
     One field: gens[0] is its pure power.  Two fields, in closed form:
     sorted, the leads ascend in the high field h and descend in the low
@@ -114,18 +114,12 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
     projection divides h's, g lies above h in the lowest field, or g would
     divide h.  So the projections of the leads at lo are divided by no
     older one nor by each other, and the slab is those plus the older ones
-    that none of them divides, sorted.  A two-field slab is counted in
-    place; a larger one is memoized under its tuple.  Memo keys need no
-    level: a k-variable staircase holds a pure power >= 2**(16 * (k - 1)),
-    and every value at fewer variables is below it.
+    that none of them divides, sorted so that its pure power comes first.
     """
     if guards == 0x8000:
         return gens[0]
     if guards == _TWO_FIELDS:
         return _count_two_fields(gens)
-    hit = memo.get(gens)
-    if hit is not None:
-        return hit
     at_cut: dict = {}
     for g in gens[1:]:
         at_cut.setdefault(g & 0xFFFF, []).append(g >> 16)
@@ -146,10 +140,7 @@ def _count_standard(gens: tuple, guards: int, memo: dict) -> int:
                 kept.append(s)
         slab = kept + new
         slab.sort()
-        total += (hi - lo) * (_count_two_fields(slab)
-                              if lower == _TWO_FIELDS else
-                              _count_standard(tuple(slab), lower, memo))
-    memo[gens] = total
+        total += (hi - lo) * _count_standard(slab, lower)
     return total
 
 
@@ -164,16 +155,18 @@ def _count_two_fields(gens) -> int:
     return total
 
 
-def _least_used_first(gens: tuple, nvars: int) -> tuple:
-    """Minimal packed leads with fields permuted by use, sorted again.
+def _least_used_first(gens: tuple, fields) -> tuple:
+    """Packed leads projected to the given fields, permuted by use, sorted.
 
-    The field that the fewest leads use (a nonzero exponent) moves to the
-    lowest field, which _count_standard cuts first; ties keep ring order.
-    Permuting fields renames variables, so divisibility, minimality and
-    the standard-monomial count are unchanged.  Each field is read as one
-    column of exponents, and the leads are rebuilt a column at a time.
+    Field i of each lead is kept for i in fields, and the others dropped.
+    The kept field that the fewest leads use (a nonzero exponent) moves to
+    the lowest field, which _count_standard cuts first; ties keep ring
+    order.  Permuting fields renames variables, so divisibility,
+    minimality and the standard-monomial count are unchanged; dropping
+    fields may leave non-minimal leads.  Each field is read as one column
+    of exponents, and the leads are rebuilt a column at a time.
     """
-    cols = [[g >> sh & 0xFFFF for g in gens] for sh in range(0, 16 * nvars, 16)]
+    cols = [[g >> 16 * i & 0xFFFF for g in gens] for i in fields]
     out = [0] * len(gens)
     for k, col in enumerate(sorted(cols, key=lambda col: -col.count(0))):
         out = [o | e << 16 * k for o, e in zip(out, col)]
@@ -257,7 +250,9 @@ class Staircase:
         A position without leads counts 1 when d = nvars.  Otherwise each
         variable set S of size d that contains the support of no minimal
         lead there adds the colength of those leads with the S-variables
-        set to 1 (the length at the prime of the other variables).  For a
+        set to 1 (the length at the prime of the other variables); one
+        repack by _least_used_first drops the S-fields and orders the rest
+        by use, and _minimal then drops the multiples it leaves.  For a
         degree-compatible order this is the multiplicity of the module
         itself.  An infinite colength, or a free position below nvars,
         means dimension above d and raises ValueError.
@@ -265,7 +260,6 @@ class Staircase:
         nv = self.ring.nvars
         k = nv - d
         guards = sum(0x8000 << 16 * j for j in range(k))
-        memo: dict = {}
         total = 0
         for pos in range(self.rank):
             gens = self._by_pos.get(pos, ())
@@ -276,19 +270,15 @@ class Staircase:
                 continue
             if gens[0] == 0:
                 continue                  # the unit: nothing lies outside
-            # at d = 0 the one set is empty, and the leads count as they are
+            # at d = 0 the one set is empty, and the repack drops no field
             for free in _independent_sets(gens, nv, d) if d else [()]:
-                rest = gens
+                rest = _least_used_first(
+                    gens, [i for i in range(nv) if i not in free])
                 if free:
-                    kept = [i for i in range(nv) if i not in free]
-                    moves = [(16 * i, 16 * j) for j, i in enumerate(kept)]
-                    rest = _minimal(sorted(
-                        sum((g >> src & 0xFFFF) << dst for src, dst in moves)
-                        for g in gens), guards)
+                    rest = _minimal(rest, guards)
                 if not _artinian(rest, k):
                     raise ValueError(f"the staircase has dimension above {d}")
-                total += _count_standard(_least_used_first(rest, k), guards,
-                                         memo)
+                total += _count_standard(rest, guards)
         return total
 
 

@@ -119,8 +119,7 @@ class PolyRing:
     """
 
     __slots__ = ("p", "vars", "nvars", "order", "_var_index", "_shifts",
-                 "mono_bits", "mono_mask", "guards", "_key_cache",
-                 "_one_cache")
+                 "mono_bits", "mono_mask", "guards", "_key_cache")
 
     def __init__(self, p: int, variables: Sequence[str],
                  order: MonomialOrder = GREVLEX):
@@ -149,7 +148,6 @@ class PolyRing:
         self.mono_mask = (1 << self.mono_bits) - 1
         self.guards = sum(0x8000 << (_FIELD * i) for i in range(self.nvars))
         self._key_cache: dict = {}
-        self._one_cache: Optional[Polynomial] = None
 
     # -- ring identity -------------------------------------------------
 
@@ -285,9 +283,7 @@ class PolyRing:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        if self._one_cache is None:
-            self._one_cache = Polynomial(self, {0: 1})
-        return self._one_cache
+        return Polynomial(self, {0: 1})
 
     def constant(self, c: int) -> "Polynomial":
         c %= self.p

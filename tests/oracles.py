@@ -3,8 +3,9 @@
 Nothing here touches the Groebner engine: colengths come from dense
 linear algebra over degree-truncated multiplication rows, monomial
 staircases from direct lattice enumeration, module lengths from
-explicit spanning sets inside a bounding box, and remainders from
-textbook division on exponent tuples.  These stay deliberately
+explicit spanning sets inside a bounding box, remainders from
+textbook division on exponent tuples, and e_n of the determinantal
+ring's class modules from a lattice-point count.  These stay deliberately
 naive so they remain trustworthy.
 
 The random-instance generators always include a pure power of every
@@ -14,6 +15,7 @@ unit ideal).
 """
 
 from itertools import combinations, product
+from math import comb
 from typing import Dict, List, Sequence
 
 
@@ -269,3 +271,37 @@ def minors_rank(matrix, quotient_basis, order: str = "grevlex") -> int:
                 if division_remainder(as_dict(det(rs, cs)), basis, order, p):
                     return t
     return 0
+
+
+def _bounded_compositions(total: int, parts: int, q: int) -> int:
+    """Vectors in N^parts summing to total with every entry below q, by
+    inclusion-exclusion over the entries forced to q or more."""
+    if total < 0:
+        return 0
+    count = 0
+    for j in range(min(parts, total // q) + 1):
+        count += (-1) ** j * comb(parts, j) * comb(total - j * q + parts - 1,
+                                                  parts - 1)
+    return count
+
+
+def segre_lattice_en(n: int, k: int, p: int = 3) -> int:
+    """e_n(M_k) over the determinantal ring, counted with no Groebner run.
+
+    The ring is the Segre ring k[s_i t_j] (i <= 2, j <= 3) with x1..x3 =
+    s1*t1..t3 and x4..x6 = s2*t1..t3, and M_k is spanned by the monomials
+    s^a t^b with |a| = |b| + k (M_0 is the ring).  Such a monomial lies in
+    m^[q] M_k exactly when some a_i >= q and some b_j >= q, so e_n(M_k) is
+    the sum over D of A_D B_(D-k) - (A_D - A<q_D)(B_(D-k) - B<q_(D-k)),
+    where A and B count the exponent vectors in N^2 and N^3 of a degree
+    and A<q and B<q those with every entry below q.  A term vanishes once
+    D > 2(q - 1) and D - k > 3(q - 1), so D runs up to 3q + |k|.
+    """
+    q = p ** n
+    total = 0
+    for D in range(max(k, 0), 3 * q + abs(k) + 1):
+        A, B = comb(D + 1, 1), comb(D - k + 2, 2)
+        A_in = _bounded_compositions(D, 2, q)
+        B_in = _bounded_compositions(D - k, 3, q)
+        total += A * B - (A - A_in) * (B - B_in)
+    return total

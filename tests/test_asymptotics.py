@@ -15,6 +15,8 @@ from hilbertkunz import (ClosedForm, ParseError, fit_two_point,
                          tau_from_delta, tau_from_recurrence,
                          verify_closed_form)
 
+from oracles import segre_lattice_en
+
 QUARTIC_FORM = "168/61 * 125^n - 107/61 * 3^n"
 QUARTIC_SERIES = [(0, 1, 1), (1, 5, 339), (2, 25, 43017)]
 
@@ -206,6 +208,32 @@ def test_delta_trend_differences_are_O_one_over_q():
     trend = tau_from_delta(deltas, d)
     scaled = [abs(dv) * p ** n for n, dv in trend.differences]
     assert max(scaled) <= 9 * (p - 1)
+
+
+def test_lattice_count_matches_the_determinantal_closed_form():
+    # the Groebner-free count of the Segre ring against the shipped form
+    form = parse_closed_form(DET_FORM)
+    values = [segre_lattice_en(n, 0) for n in range(8)]
+    assert values == [form.value(n) for n in range(8)]
+    assert values[6] == 458851075047
+
+
+def test_tau_over_the_class_group_tends_to_half_the_class():
+    # delta_n of M_k (monomials s^a t^b with |a| = |b| + k) against the
+    # ring, normalized by q^3, moves toward k/2 at every step out to n = 7
+    ring = [segre_lattice_en(n, 0) for n in range(8)]
+    for k in range(-2, 4):
+        deltas = [(n, 3 ** n, segre_lattice_en(n, k) - ring[n])
+                  for n in range(8)]
+        trend = tau_from_delta(deltas, 4)
+        gaps = [abs(v - Fraction(k, 2)) for n, v in trend.sequence if n]
+        if k == 0:
+            assert trend.v_last == 0 and not any(gaps)
+            continue
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), (k, gaps)
+        assert gaps[-1] < Fraction(3, 1000)
+    one = [(n, 3 ** n, segre_lattice_en(n, 1) - ring[n]) for n in range(8)]
+    assert tau_from_delta(one, 4).v_last == Fraction(2391485, 4782969)
 
 
 # -- gamma ----------------------------------------------------------------------------------

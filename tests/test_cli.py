@@ -408,6 +408,15 @@ def test_exit_not_m_primary(tmp_path):
     assert "not m-primary" in report["error"]["message"]
 
 
+def test_fit_of_one_entry_is_an_invalid_input_error(tmp_path):
+    report, code = run_command(
+        ["fit", write(tmp_path, QUARTIC), "--module", "M", "--ideal", "I",
+         "--nmax", "0"])
+    assert code == 1
+    assert report["error"] == {"kind": "invalid-input",
+                               "message": "need at least two entries to fit"}
+
+
 def test_exit_budget_exceeded(tmp_path):
     path = write(tmp_path, QUARTIC)
     report, code = run_command(
@@ -592,6 +601,25 @@ def test_no_budget_stop_is_run_twice_on_either_route(tmp_path, monkeypatch,
     assert (one[1:3], two[1:3]) == ((2, 0), (2, 1))
     assert one[0] == two[0]
     assert (one[3:], two[3:]) == runs
+
+
+@needs_fork
+def test_tor_whose_syzygies_stop_forks_nothing(tmp_path, monkeypatch):
+    # N's syzygies stop before the fork, so no family runs at once, and
+    # the command's own path meets the stop
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ["tor", write(tmp_path, MODULES), "--module", "N", "--ideal", "I",
+            "--nmax", "1", "--budget-pairs", "1"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report, code = run_command(argv)
+        assert (code, report["results"]) == (2, {"tor1": []})
+        assert report["error"]["kind"] == "budget"
+    assert forks == []
 
 
 STOPPED_SERIES = {

@@ -840,8 +840,8 @@ def test_monomial_colength_matches_box_enumeration_sample():
 
 
 def test_colength_matches_box_enumeration_many_variables():
-    # 4 to 6 variables, so the slice recursion runs several levels deep
-    # and shares one memo across them; the box stays at most 729 points
+    # 4 to 6 variables, so the slice recursion runs several levels deep;
+    # the box stays at most 729 points
     rng = random.Random(4096)
     names = ["a", "b", "c", "d", "e", "f"]
     for trial in range(24):
@@ -915,7 +915,7 @@ def test_count_standard_sweep_matches_box_enumeration():
         exps, bounds = _slab_heavy_exps(rng, nv, cap)
         kept = _minimal_exps(exps)
         gens = tuple(sorted(R.pack(e) for e in kept))
-        assert groebner._count_standard(gens, R.guards, {}) == \
+        assert groebner._count_standard(gens, R.guards) == \
             box_staircase_count(kept, bounds)
         cuts = [e[-1] for e in kept if 0 < e[-1] < bounds[-1]]
         shared += len(cuts) > len(set(cuts))
@@ -1005,12 +1005,12 @@ def test_monomial_colength_does_not_depend_on_the_variable_order():
 def test_module_colength_does_not_depend_on_the_variable_order():
     # x: 3 leads, y and z: 2 each at position 0, which keeps ring order;
     # z: 3 leads at position 1, which moves it, so the two positions cut
-    # along different variables and share one memo
+    # along different variables in one multiplicity call
     R = ring(3, "x", "y", "z")
     by_pos = [[(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 1, 0), (1, 0, 1)],
               [(4, 0, 0), (0, 2, 0), (0, 0, 3), (0, 1, 1), (1, 0, 1)]]
     kept = [tuple(sorted(R.pack(e) for e in exps)) for exps in by_pos]
-    assert [groebner._least_used_first(k, 3) == k for k in kept] \
+    assert [groebner._least_used_first(k, range(3)) == k for k in kept] \
         == [True, False]
     expected = (box_staircase_count(by_pos[0], [2, 3, 4])
                 + box_staircase_count(by_pos[1], [4, 2, 3]))

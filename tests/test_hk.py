@@ -19,7 +19,8 @@ from hilbertkunz import (INFINITE, Budget, BudgetExceededError,
                          tor1_length)
 from hilbertkunz import ParseError, PolyRing, RingMismatchError, hk
 
-from oracles import box_staircase_count, minors_rank, module_dense_colength
+from oracles import (box_staircase_count, minors_rank, module_dense_colength,
+                     segre_lattice_en)
 from hilbertkunz import syzygies
 
 
@@ -830,6 +831,19 @@ def test_determinantal_e4():
     # 6809 minimal leads are counted in 0.06-0.15 s
     ring = determinantal_ring()
     assert en_cyclic(ring, (), maximal_ideal(ring), 4) == 69817221
+
+
+@pytest.mark.parametrize("gens, k", [(["x1", "x4"], 1),
+                                     (["x1", "x2", "x3"], -1),
+                                     (["x1^2", "x1*x4", "x4^2"], 2)])
+def test_determinantal_ideal_series_match_the_lattice_count(gens, k):
+    # (x1, x4) = t1 (s1, s2), (x1, x2, x3) = s1 (t1, t2, t3) and
+    # (x1^2, x1 x4, x4^2) = t1^2 (s1, s2)^2 are the class modules M_1,
+    # M_-1 and M_2 of the Segre ring that the lattice count reads
+    ring = determinantal_ring()
+    module = ModulePresentation.ideal_as_module(ring, gens)
+    got = series(ring, module, maximal_ideal(ring), 3)
+    assert got.values() == [segre_lattice_en(n, k) for n in range(4)]
 
 
 def test_ring_dimension_cache_consistency():

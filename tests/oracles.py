@@ -285,8 +285,8 @@ def _bounded_compositions(total: int, parts: int, q: int) -> int:
     return count
 
 
-def segre_lattice_en(n: int, k: int, p: int = 3) -> int:
-    """e_n(M_k) over the determinantal ring, counted with no Groebner run.
+def segre_lattice_en(n: int, k: int) -> int:
+    """e_n(M_k) over the determinantal ring (p = 3), with no Groebner run.
 
     The ring is the Segre ring k[s_i t_j] (i <= 2, j <= 3) with x1..x3 =
     s1*t1..t3 and x4..x6 = s2*t1..t3, and M_k is spanned by the monomials
@@ -297,10 +297,10 @@ def segre_lattice_en(n: int, k: int, p: int = 3) -> int:
     and A<q and B<q those with every entry below q.  A term vanishes once
     D > 2(q - 1) and D - k > 3(q - 1), so D runs up to 3q + |k|.
     """
-    q = p ** n
+    q = 3 ** n
     total = 0
     for D in range(max(k, 0), 3 * q + abs(k) + 1):
-        A, B = comb(D + 1, 1), comb(D - k + 2, 2)
+        A, B = D + 1, comb(D - k + 2, 2)
         A_in = _bounded_compositions(D, 2, q)
         B_in = _bounded_compositions(D - k, 3, q)
         total += A * B - (A - A_in) * (B - B_in)
